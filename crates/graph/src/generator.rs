@@ -17,6 +17,33 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A neighbour set. It is only ever probed for membership, and neighbours
+/// are sorted before they are emitted, so its iteration order never reaches
+/// the output. Its keys are generated node ids, never outside input, so a
+/// one-multiply integer hash (no SipHash, no per-process seed) is enough.
+type NodeSet = HashSet<u32, BuildHasherDefault<NodeIdHasher>>;
+
+/// Multiplicative (Fx-style) hasher for the `u32` node ids in [`NodeSet`].
+#[derive(Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0.rotate_left(5) ^ id as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Generates an undirected power-law graph with `nodes` nodes and `edges`
 /// undirected edges (exact unless the density makes deduplication
@@ -79,7 +106,7 @@ pub fn power_law_with_exponent(nodes: usize, edges: usize, exponent: f64, seed: 
     }
 
     // Materialise edges: per-node quota, preferential targets.
-    let mut neighbours: Vec<HashSet<u32>> = vec![HashSet::new(); nodes];
+    let mut neighbours: Vec<NodeSet> = vec![NodeSet::default(); nodes];
     let mut endpoints: Vec<u32> = Vec::with_capacity(edges * 2);
     let mut placed = 0usize;
     for src in 0..nodes {
@@ -133,8 +160,7 @@ pub fn power_law_with_exponent(nodes: usize, edges: usize, exponent: f64, seed: 
     let mut coo = Coo::new(nodes, nodes).expect("nodes >= 2");
     for (u, nbrs) in neighbours.iter().enumerate() {
         let ru = relabel.apply_index(u);
-        // HashSet iteration order is seeded per process; sort for
-        // reproducible output.
+        // Set iteration order is unspecified; sort for reproducible output.
         let mut sorted: Vec<u32> = nbrs.iter().copied().collect();
         sorted.sort_unstable();
         for v in sorted {
@@ -159,7 +185,7 @@ pub fn erdos_renyi(nodes: usize, edges: usize, seed: u64) -> Coo {
         "requested {edges} edges but only {max_edges} possible"
     );
     let mut rng = Pcg64::seed_from_u64(seed);
-    let mut neighbours: Vec<HashSet<u32>> = vec![HashSet::new(); nodes];
+    let mut neighbours: Vec<NodeSet> = vec![NodeSet::default(); nodes];
     let mut placed = 0usize;
     while placed < edges {
         let a = rng.gen_range(0..nodes);

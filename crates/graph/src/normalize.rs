@@ -12,8 +12,10 @@ use hymm_sparse::{Coo, SparseError};
 /// Computes `Â = D̃^-1/2 (A + I) D̃^-1/2` from a (possibly weighted)
 /// adjacency matrix, where `D̃` is the degree matrix of `A + I`.
 ///
-/// Duplicate triplets in the input are coalesced (summed) first. The result
-/// has exactly the input's structural non-zeros plus a full diagonal.
+/// Duplicate triplets in the input are coalesced (summed, in input order)
+/// first. The result has exactly the input's structural non-zeros plus a
+/// full diagonal, emitted in strictly ascending `(row, col)` order, so CSR
+/// and CSC conversion never have to re-sort it.
 ///
 /// # Errors
 ///
@@ -27,53 +29,175 @@ pub fn gcn_normalize(adj: &Coo) -> Result<Coo, SparseError> {
     }
     let n = adj.rows();
 
-    // Coalesce duplicates.
-    let mut entries: Vec<(usize, usize, f32)> = adj.iter().collect();
-    entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-    let mut coalesced: Vec<(usize, usize, f32)> = Vec::with_capacity(entries.len() + n);
-    for (r, c, v) in entries {
-        match coalesced.last_mut() {
-            Some(last) if last.0 == r && last.1 == c => last.2 += v,
-            _ => coalesced.push((r, c, v)),
-        }
+    // Counting scatter by row; entries keep their input order within a row.
+    let mut row_ptr = vec![0usize; n + 1];
+    for &(r, _, _) in adj.entries() {
+        row_ptr[r as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let mut next = row_ptr.clone();
+    let mut scattered = vec![(0u32, 0f32); adj.nnz()];
+    for &(r, c, v) in adj.entries() {
+        scattered[next[r as usize]] = (c, v);
+        next[r as usize] += 1;
     }
 
-    // Add self-loops (merge with any existing diagonal entries).
-    let mut has_diag = vec![false; n];
-    for &mut (r, c, ref mut v) in &mut coalesced {
-        if r == c {
-            has_diag[r] = true;
-            *v += 1.0;
+    // Per row: sort by column (stable, so duplicates sum in input order),
+    // coalesce, add the self-loop (merged into an existing diagonal entry,
+    // else inserted at its sorted slot) and sum the weighted degree of
+    // A + I. The degree adds the row's entries by column and an inserted
+    // self-loop last: the order of the sort-based reference in the tests,
+    // which keeps every value bit-identical to it.
+    let mut entries: Vec<(u32, u32, f32)> = Vec::with_capacity(adj.nnz() + n);
+    let mut inv_sqrt = vec![0f64; n];
+    for (r, deg_inv_sqrt) in inv_sqrt.iter_mut().enumerate() {
+        let row = &mut scattered[row_ptr[r]..row_ptr[r + 1]];
+        if row.windows(2).any(|w| w[0].0 >= w[1].0) {
+            row.sort_by_key(|&(c, _)| c);
         }
-    }
-    for (i, had) in has_diag.iter().enumerate() {
-        if !had {
-            coalesced.push((i, i, 1.0));
+        let start = entries.len();
+        for &(c, v) in row.iter() {
+            match entries[start..].last_mut() {
+                Some(last) if last.1 == c => last.2 += v,
+                _ => entries.push((r as u32, c, v)),
+            }
         }
+        let r32 = r as u32;
+        let slot = start + entries[start..].partition_point(|e| e.1 < r32);
+        let has_diag = entries.get(slot).is_some_and(|e| e.1 == r32);
+        if has_diag {
+            entries[slot].2 += 1.0;
+        }
+        let mut degree = 0f64;
+        for e in &entries[start..] {
+            degree += e.2 as f64;
+        }
+        if !has_diag {
+            entries.insert(slot, (r32, r32, 1.0));
+            degree += 1.0;
+        }
+        *deg_inv_sqrt = if degree > 0.0 {
+            1.0 / degree.sqrt()
+        } else {
+            0.0
+        };
     }
 
-    // Weighted degree of A + I.
-    let mut degree = vec![0.0f64; n];
-    for &(r, _, v) in &coalesced {
-        degree[r] += v as f64;
+    for (r, c, v) in &mut entries {
+        *v = (*v as f64 * inv_sqrt[*r as usize] * inv_sqrt[*c as usize]) as f32;
     }
-    let inv_sqrt: Vec<f64> = degree
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-
-    let mut out = Coo::new(n, n)?;
-    for (r, c, v) in coalesced {
-        let nv = (v as f64 * inv_sqrt[r] * inv_sqrt[c]) as f32;
-        out.push(r, c, nv)?;
-    }
-    Ok(out)
+    Coo::from_entries(n, n, entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hymm_sparse::Csr;
+    use proptest::prelude::*;
+
+    /// The comparison-sort normalisation `gcn_normalize` replaced: sort all
+    /// entries, coalesce, merge existing diagonals, append the missing
+    /// self-loops after everything else. Kept as the exactness reference.
+    fn reference_normalize(adj: &Coo) -> Coo {
+        let n = adj.rows();
+        let mut entries: Vec<(usize, usize, f32)> = adj.iter().collect();
+        entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        let mut coalesced: Vec<(usize, usize, f32)> = Vec::with_capacity(entries.len() + n);
+        for (r, c, v) in entries {
+            match coalesced.last_mut() {
+                Some(last) if last.0 == r && last.1 == c => last.2 += v,
+                _ => coalesced.push((r, c, v)),
+            }
+        }
+        let mut has_diag = vec![false; n];
+        for &mut (r, c, ref mut v) in &mut coalesced {
+            if r == c {
+                has_diag[r] = true;
+                *v += 1.0;
+            }
+        }
+        for (i, had) in has_diag.iter().enumerate() {
+            if !had {
+                coalesced.push((i, i, 1.0));
+            }
+        }
+        let mut degree = vec![0.0f64; n];
+        for &(r, _, v) in &coalesced {
+            degree[r] += v as f64;
+        }
+        let inv_sqrt: Vec<f64> = degree
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+            .collect();
+        let mut out = Coo::new(n, n).unwrap();
+        for (r, c, v) in coalesced {
+            let nv = (v as f64 * inv_sqrt[r] * inv_sqrt[c]) as f32;
+            out.push(r, c, nv).unwrap();
+        }
+        out
+    }
+
+    /// Strategy: a random square adjacency in shuffled order with
+    /// duplicate unit-weight edges (drawn from a small node range, so
+    /// repeats are common, plus repeated copies of a prefix), at most one
+    /// non-unit diagonal entry per node, and isolated nodes and empty rows
+    /// (the edge endpoints only span the first `m` of `n` nodes, and edges
+    /// are directed).
+    fn messy_adjacency() -> impl Strategy<Value = Coo> {
+        (1..40usize, 0..4usize).prop_flat_map(|(n, slack)| {
+            let m = n.saturating_sub(slack).max(1);
+            (
+                proptest::collection::vec((0..m, 0..m), 0..4 * n),
+                proptest::collection::vec((0..4u32, 0.25f32..3.0), n),
+                0..8usize,
+                0..1000u32,
+            )
+                .prop_map(move |(edges, diag, repeat, salt)| {
+                    let mut trip: Vec<(usize, usize, f32)> = edges
+                        .iter()
+                        .filter(|(r, c)| r != c)
+                        .map(|&(r, c)| (r, c, 1.0))
+                        .collect();
+                    let prefix = trip[..repeat.min(trip.len())].to_vec();
+                    trip.extend(prefix);
+                    trip.extend(
+                        diag.iter()
+                            .enumerate()
+                            .filter(|(_, &(k, _))| k == 0)
+                            .map(|(i, &(_, w))| (i, i, w)),
+                    );
+                    // Deterministic shuffle so diagonals and duplicates
+                    // land anywhere in the input order.
+                    trip.sort_by_key(|&(r, c, _)| {
+                        ((r * 64 + c) as u32 ^ salt).wrapping_mul(0x9e37_79b9)
+                    });
+                    Coo::from_triplets(n, n, trip).unwrap()
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn matches_sort_based_reference_bit_for_bit(adj in messy_adjacency()) {
+            let got = gcn_normalize(&adj).unwrap();
+            let mut want: Vec<(usize, usize, u32)> = reference_normalize(&adj)
+                .iter()
+                .map(|(r, c, v)| (r, c, v.to_bits()))
+                .collect();
+            want.sort_unstable();
+            let got: Vec<(usize, usize, u32)> =
+                got.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+            prop_assert!(
+                got.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+                "output not in strictly ascending (row, col) order"
+            );
+            prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn adds_self_loops() {

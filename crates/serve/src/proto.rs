@@ -50,6 +50,12 @@ impl SimRequest {
     }
 }
 
+/// Largest graph, in nodes, one request may synthesise. A worker builds
+/// the whole graph before it simulates, so a bare request for a native
+/// Flickr (89 250 nodes) or Yelp (716 847 nodes) graph is refused up front
+/// and must name a `scale` at most this large.
+pub const MAX_NODES: usize = 65_536;
+
 fn field_u64(v: &Json, field: &str) -> Result<u64, String> {
     match v.as_f64() {
         Some(n) if n >= 0.0 && n.fract() == 0.0 && n < 9.0e15 => Ok(n as u64),
@@ -154,6 +160,14 @@ pub fn parse_request(doc: &Json, audit: bool) -> Result<SimRequest, String> {
         Some(n) => dataset.spec().scaled(n),
         None => dataset.spec(),
     };
+    if spec.nodes > MAX_NODES {
+        return Err(format!(
+            "dataset {} at {} nodes exceeds the {MAX_NODES}-node budget; \
+             set field \"scale\" to at most {MAX_NODES}",
+            dataset.abbrev(),
+            spec.nodes
+        ));
+    }
     Ok(SimRequest {
         spec,
         dataflow,
@@ -264,6 +278,29 @@ mod tests {
             let err = parse(body).unwrap_err();
             assert!(err.contains(want), "{body} gave {err:?}");
         }
+    }
+
+    #[test]
+    fn node_budget_names_scale() {
+        for body in [
+            r#"{"dataset": "YP"}"#,
+            r#"{"dataset": "FR"}"#,
+            r#"{"dataset": "YP", "scale": 65537}"#,
+        ] {
+            let err = parse(body).unwrap_err();
+            assert!(
+                err.contains("\"scale\"") && err.contains("65536"),
+                "{body} gave {err:?}"
+            );
+        }
+        let capped = parse(r#"{"dataset": "YP", "scale": 65536}"#).unwrap();
+        assert_eq!(capped.spec.nodes, MAX_NODES);
+        // A bare native graph under the budget is still accepted.
+        let cs = parse(r#"{"dataset": "CS"}"#).unwrap();
+        assert_eq!(cs.spec.nodes, 18_333);
+        // A scale above the budget is harmless when the dataset is smaller.
+        let cr = parse(r#"{"dataset": "CR", "scale": 1000000}"#).unwrap();
+        assert_eq!(cr.spec.nodes, 2708);
     }
 
     #[test]

@@ -231,11 +231,15 @@ fn error_paths_return_clean_json() {
     let resp = one_shot(&addr, "POST", "/simulate", r#"{"dataset": "ZZ"}"#).unwrap();
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("unknown dataset"), "{}", resp.text());
+    // A bare native Yelp spec is over the node budget: refused before synthesis.
+    let resp = one_shot(&addr, "POST", "/simulate", r#"{"dataset": "YP"}"#).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("scale"), "{}", resp.text());
     let resp = one_shot(&addr, "POST", "/simulate", &"x".repeat(512)).unwrap();
     assert_eq!(resp.status, 413);
 
     let stats = server.shutdown();
-    assert_eq!(stats.http_errors, 5, "404, 405, two 400s and the 413");
+    assert_eq!(stats.http_errors, 6, "404, 405, three 400s and the 413");
     assert_eq!(stats.simulations, 0);
 }
 

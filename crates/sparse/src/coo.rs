@@ -75,6 +75,36 @@ impl Coo {
         Ok(m)
     }
 
+    /// Creates a COO matrix from a whole entry list at once, checking every
+    /// coordinate against the bounds in a single pass. Cheaper than
+    /// [`Coo::push`] per entry when the entries are already materialised.
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`Coo::new`], or
+    /// [`SparseError::IndexOutOfBounds`] for the first entry outside the
+    /// matrix.
+    pub fn from_entries(
+        rows: usize,
+        cols: usize,
+        entries: Vec<(u32, u32, f32)>,
+    ) -> Result<Self, SparseError> {
+        let mut m = Coo::new(rows, cols)?;
+        if let Some(&(r, c, _)) = entries
+            .iter()
+            .find(|&&(r, c, _)| r as usize >= rows || c as usize >= cols)
+        {
+            return Err(SparseError::IndexOutOfBounds {
+                row: r as usize,
+                col: c as usize,
+                rows,
+                cols,
+            });
+        }
+        m.entries = entries;
+        Ok(m)
+    }
+
     /// Appends one entry.
     ///
     /// # Errors
@@ -112,6 +142,11 @@ impl Coo {
     /// Returns `true` if no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The stored triplets as `(row, col, value)`, in insertion order.
+    pub fn entries(&self) -> &[(u32, u32, f32)] {
+        &self.entries
     }
 
     /// Iterates over stored triplets as `(row, col, value)`.
@@ -188,6 +223,21 @@ mod tests {
         let m = Coo::from_triplets(3, 4, [(0, 0, 1.0), (2, 3, 2.0)]).unwrap();
         let got: Vec<_> = m.iter().collect();
         assert_eq!(got, vec![(0, 0, 1.0), (2, 3, 2.0)]);
+    }
+
+    #[test]
+    fn from_entries_checks_bounds_and_keeps_order() {
+        let m = Coo::from_entries(2, 3, vec![(1, 2, 4.0), (0, 0, 1.0)]).unwrap();
+        assert_eq!(m.entries(), &[(1, 2, 4.0), (0, 0, 1.0)]);
+        let err = Coo::from_entries(2, 3, vec![(0, 0, 1.0), (1, 3, 1.0)]).unwrap_err();
+        assert!(matches!(
+            err,
+            SparseError::IndexOutOfBounds { row: 1, col: 3, .. }
+        ));
+        assert_eq!(
+            Coo::from_entries(0, 3, Vec::new()).unwrap_err(),
+            SparseError::EmptyDimension
+        );
     }
 
     #[test]

@@ -145,11 +145,12 @@ impl Permutation {
                 right: (self.len(), self.len()),
             });
         }
-        let mut out = Coo::new(m.rows(), m.cols())?;
-        for (r, c, v) in m.iter() {
-            out.push(self.apply_index(r), self.apply_index(c), v)?;
-        }
-        Ok(out)
+        let entries = m
+            .entries()
+            .iter()
+            .map(|&(r, c, v)| (self.scatter[r as usize], self.scatter[c as usize], v))
+            .collect();
+        Coo::from_entries(m.rows(), m.cols(), entries)
     }
 
     /// Applies the permutation to the rows of a matrix only.
@@ -164,11 +165,12 @@ impl Permutation {
                 right: (self.len(), self.len()),
             });
         }
-        let mut out = Coo::new(m.rows(), m.cols())?;
-        for (r, c, v) in m.iter() {
-            out.push(self.apply_index(r), c, v)?;
-        }
-        Ok(out)
+        let entries = m
+            .entries()
+            .iter()
+            .map(|&(r, c, v)| (self.scatter[r as usize], c, v))
+            .collect();
+        Coo::from_entries(m.rows(), m.cols(), entries)
     }
 }
 
