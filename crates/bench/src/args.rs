@@ -1,13 +1,13 @@
 //! Minimal command-line conventions shared by every experiment binary.
 
-use hymm_core::config::{Preset, SchedulerKind};
+use hymm_core::config::Preset;
 use hymm_graph::datasets::Dataset;
 use hymm_mem::PrefetchPolicy;
 use std::fmt;
 
 /// Usage string printed by `--help` and alongside argument errors.
 pub const USAGE: &str = "usage: <bin> [--scale N] [--datasets CR,AP,AC,CS,PH,FR,YP] [--threads N] \
-     [--audit] [--stalls] [--scheduler stepped|event] [--preset default|tuned] \
+     [--audit] [--stalls] [--preset default|tuned] \
      [--prefetch off|next-line|smq-stream] [--prefetch-degree N] \
      [--prefetch-mshr-cap K] [--pe-lanes N] [--mac-latency N] \
      [--mac-pipeline] [--lane-gating] [--metrics-interval CYCLES] \
@@ -60,9 +60,6 @@ pub struct BenchArgs {
     /// Print the per-dataflow stall-attribution table (see
     /// `hymm_core::stats::StallBreakdown`) after the figures.
     pub stalls: bool,
-    /// Which simulation core to run (`event` by default; `stepped` keeps
-    /// the legacy per-access walk — reports are bit-identical either way).
-    pub scheduler: SchedulerKind,
     /// Named configuration preset applied before every individual knob
     /// override (`default` reproduces Table III; `tuned` is the best
     /// iso-area-budget configuration found by the `dse` binary).
@@ -105,7 +102,6 @@ impl Default for BenchArgs {
             threads: 0,
             audit: false,
             stalls: false,
-            scheduler: SchedulerKind::Event,
             preset: Preset::Default,
             prefetch: None,
             prefetch_degree: None,
@@ -163,14 +159,6 @@ impl BenchArgs {
                 }
                 "--audit" => out.audit = true,
                 "--stalls" => out.stalls = true,
-                "--scheduler" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::new("--scheduler needs a core name"))?;
-                    out.scheduler = SchedulerKind::parse(&v).ok_or_else(|| {
-                        ArgError::new(format!("unknown scheduler {v:?} (stepped, event)"))
-                    })?;
-                }
                 "--preset" => {
                     let v = it
                         .next()
@@ -316,13 +304,12 @@ impl BenchArgs {
 
     /// Builds the full accelerator configuration these arguments describe:
     /// the preset applied over Table III, then every individual knob
-    /// override on top (so explicit flags always win), plus the audit and
-    /// scheduler selections. Shared by the suite runner and the standalone
+    /// override on top (so explicit flags always win), plus the audit
+    /// selection. Shared by the suite runner and the standalone
     /// binaries so `--preset tuned` means the same thing everywhere.
     pub fn accelerator_config(&self) -> hymm_core::config::AcceleratorConfig {
         let mut config = hymm_core::config::AcceleratorConfig {
             audit: self.audit,
-            scheduler: self.scheduler,
             ..hymm_core::config::AcceleratorConfig::default()
         };
         self.preset.apply(&mut config);
@@ -404,18 +391,19 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_defaults_to_event_and_parses_both_cores() {
-        assert_eq!(parse(&[]).unwrap().scheduler, SchedulerKind::Event);
-        for kind in [SchedulerKind::Stepped, SchedulerKind::Event] {
-            let a = parse(&["--scheduler", kind.label()]).unwrap();
-            assert_eq!(a.scheduler, kind);
+    fn rejects_removed_scheduler_flag() {
+        // There is one simulation core; the old core selector is an
+        // unknown argument like any other, so binaries exit 2 with usage.
+        let flag = concat!("--", "scheduler");
+        for v in ["stepped", "event"] {
+            let e = parse(&[flag, v]).unwrap_err();
+            assert!(
+                e.to_string()
+                    .contains(&format!("unknown argument {flag:?}")),
+                "{e}"
+            );
         }
-    }
-
-    #[test]
-    fn rejects_unknown_scheduler() {
-        let e = parse(&["--scheduler", "calendar"]).unwrap_err();
-        assert!(e.to_string().contains("unknown scheduler"), "{e}");
+        assert!(!USAGE.contains(flag));
     }
 
     #[test]

@@ -41,7 +41,7 @@ const BASELINE_SERIAL_SECONDS: f64 = 0.296;
 use hymm_bench::runner::results_match;
 
 /// One serial pass over the datasets, timing each individually. Honours the
-/// scheduler and prefetch options so serial and parallel passes simulate the
+/// preset and prefetch options so serial and parallel passes simulate the
 /// same configuration; audit stays off in both so the timings compare.
 fn serial_pass(args: &BenchArgs) -> (Vec<DatasetResults>, Vec<f64>, f64) {
     let serial_args = BenchArgs {
@@ -106,13 +106,6 @@ fn main() {
         .map(|r| r.report.cycles)
         .sum();
     let sim_cycles_per_second = sim_cycles_total as f64 / serial_s.max(1e-9);
-
-    // Event-core scheduling counters summed over the serial suite — all
-    // zero under `--scheduler stepped`, where no span ever opens.
-    let mut events = hymm_mem::EventStats::default();
-    for run in serial_results.iter().flat_map(|d| &d.runs) {
-        events.merge(&run.events);
-    }
 
     // Stall-attribution totals per dataflow variant, summed over the suite's
     // datasets — tracks where the simulated machines spend their cycles so
@@ -309,15 +302,11 @@ fn main() {
         .collect();
 
     let json = format!(
-        "{{\n  \"suite\": \"hymm-bench run_suite\",\n  \"scale\": {},\n  \"datasets\": [{}],\n  \"host_parallelism\": {},\n  \"reps\": {REPS},\n  \"scheduler\": \"{}\",\n  \"serial_threads\": 1,\n  \"serial_seconds\": {serial_s:.3},\n  \"per_dataset_serial_seconds\": {{ {} }},\n  \"sim_cycles_total\": {sim_cycles_total},\n  \"sim_cycles_per_second\": {sim_cycles_per_second:.3e},\n  \"events_scheduled\": {},\n  \"events_coalesced\": {},\n  \"cycles_skipped\": {},\n  \"stall_cycles\": {{ {} }},\n  \"prefetch_impact\": {prefetch_impact},\n  \"tuned_preset\": {tuned_impact},\n  \"dse\": {dse_json},\n  \"pe_sweep\": {pe_sweep_json},\n  \"baseline_serial_seconds\": {baseline},\n  \"serial_speedup_vs_baseline\": {vs_baseline},\n  \"parallel_threads\": {threads},\n  \"parallel_seconds\": {parallel_s:.3},\n  \"parallel_speedup\": {parallel_speedup:.3},\n  \"identical_results\": {identical}\n}}\n",
+        "{{\n  \"suite\": \"hymm-bench run_suite\",\n  \"scale\": {},\n  \"datasets\": [{}],\n  \"host_parallelism\": {},\n  \"reps\": {REPS},\n  \"serial_threads\": 1,\n  \"serial_seconds\": {serial_s:.3},\n  \"per_dataset_serial_seconds\": {{ {} }},\n  \"sim_cycles_total\": {sim_cycles_total},\n  \"sim_cycles_per_second\": {sim_cycles_per_second:.3e},\n  \"stall_cycles\": {{ {} }},\n  \"prefetch_impact\": {prefetch_impact},\n  \"tuned_preset\": {tuned_impact},\n  \"dse\": {dse_json},\n  \"pe_sweep\": {pe_sweep_json},\n  \"baseline_serial_seconds\": {baseline},\n  \"serial_speedup_vs_baseline\": {vs_baseline},\n  \"parallel_threads\": {threads},\n  \"parallel_seconds\": {parallel_s:.3},\n  \"parallel_speedup\": {parallel_speedup:.3},\n  \"identical_results\": {identical}\n}}\n",
         args.scale.map_or("null".to_string(), |n| n.to_string()),
         datasets.join(", "),
         pool::default_threads(),
-        args.scheduler.label(),
         per_dataset.join(", "),
-        events.events_scheduled,
-        events.events_coalesced,
-        events.cycles_skipped,
         stall_cycles.join(", "),
     );
 

@@ -74,7 +74,7 @@ fn totals(results: &[DatasetResults], label: &str) -> Result<SuiteTotals, Missin
 }
 
 /// Runs the `LANES` × `LATENCIES` grid over the suite described by `base`
-/// (datasets, scale, threads, scheduler, prefetch, audit are honoured;
+/// (datasets, scale, threads, prefetch, audit are honoured;
 /// `--pe-lanes` and `--mac-latency` are overridden by the grid, while
 /// `--mac-pipeline` and `--lane-gating` apply to every point).
 ///

@@ -22,8 +22,6 @@ pub struct DataflowRun {
     pub label: &'static str,
     /// Aggregate report over the two GCN layers.
     pub report: SimReport,
-    /// Event-core scheduling counters (zero under `--scheduler stepped`).
-    pub events: hymm_mem::EventStats,
 }
 
 /// Everything the figures need about one dataset.
@@ -197,7 +195,6 @@ fn simulate_variant(prep: &PreparedDataset, variant: usize) -> DataflowRun {
     DataflowRun {
         label,
         report: outcome.report,
-        events: outcome.events,
     }
 }
 
@@ -223,8 +220,8 @@ pub fn run_dataset(dataset: Dataset, scale: Option<usize>) -> DatasetResults {
     run_dataset_with(dataset, &args)
 }
 
-/// [`run_dataset`] honouring the full argument set (scheduler, prefetch,
-/// audit), still serially on the calling thread; `args.threads` is ignored.
+/// [`run_dataset`] honouring the full argument set (preset, prefetch,
+/// PE knobs, audit), still serially on the calling thread; `args.threads` is ignored.
 pub fn run_dataset_with(dataset: Dataset, args: &BenchArgs) -> DatasetResults {
     let prep = prepare_dataset(dataset, args);
     let runs = (0..VARIANTS_PER_DATASET)

@@ -72,43 +72,6 @@ pub fn combine_hashes(words: &[u64]) -> u64 {
     h
 }
 
-/// Which simulation core advances time.
-///
-/// Both cores produce **bit-identical** [`crate::stats::SimReport`]s — the
-/// choice is purely a host-performance trade, pinned by the
-/// `scheduler_equivalence` differential test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// The legacy core: every component transaction walks the full line
-    /// table / forward index on every access.
-    Stepped,
-    /// The event-driven core: engines open a *phase span* over their operand
-    /// ranges; components batch their state into range-indexed wake lists
-    /// and skip provably-inert cycles, materialising the exact stepped-core
-    /// state at every phase boundary (and at any access the span cannot
-    /// prove equivalent, where it falls back to the stepped path).
-    Event,
-}
-
-impl SchedulerKind {
-    /// Label used by `--scheduler` and experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerKind::Stepped => "stepped",
-            SchedulerKind::Event => "event",
-        }
-    }
-
-    /// Parses a `--scheduler` argument value.
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s {
-            "stepped" => Some(SchedulerKind::Stepped),
-            "event" => Some(SchedulerKind::Event),
-            _ => None,
-        }
-    }
-}
-
 /// How partial outputs produced by the outer product are merged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergePolicy {
@@ -171,9 +134,6 @@ pub struct AcceleratorConfig {
     /// at report time, panicking on any violation. Observation-only: timing
     /// and statistics are identical with the flag on or off.
     pub audit: bool,
-    /// Which simulation core advances time (bit-identical results either
-    /// way; `Event` additionally enables span-mode fast paths in the DMB).
-    pub scheduler: SchedulerKind,
     /// Interval-sampled telemetry (see [`crate::metrics`]). `None` (the
     /// default) is pinned bit-identical to a build without the subsystem;
     /// `Some` leaves every cycle count unchanged and adds a bounded
@@ -197,7 +157,6 @@ impl Default for AcceleratorConfig {
             lane_gating: false,
             cwp_lane_efficiency: 0.8,
             audit: false,
-            scheduler: SchedulerKind::Event,
             metrics: None,
         }
     }
@@ -279,9 +238,8 @@ impl AcceleratorConfig {
     /// — the identity the DSE memoises evaluations by.
     ///
     /// Host-observability knobs are deliberately excluded: `audit`,
-    /// `scheduler`, `metrics`, `mem.trace` and `mem.trace_capacity` are
-    /// pinned cycle-identical by the audit/scheduler-equivalence/trace/
-    /// metrics tests, so two
+    /// `metrics`, `mem.trace` and `mem.trace_capacity` are pinned
+    /// cycle-identical by the audit/trace/metrics tests, so two
     /// configs differing only there produce the same [`crate::stats::SimReport`]
     /// and may legitimately share a memo entry. Everything that can move a
     /// cycle or a byte is folded in (floats by IEEE bit pattern, enums by
@@ -408,15 +366,6 @@ mod tests {
         assert_eq!(c.tiling_fraction, 0.20);
         assert_eq!(c.hybrid_merge, MergePolicy::NearMemory);
         assert_eq!(c.op_tile_rows(), 2048);
-        assert_eq!(c.scheduler, SchedulerKind::Event);
-    }
-
-    #[test]
-    fn scheduler_labels_roundtrip() {
-        for kind in [SchedulerKind::Stepped, SchedulerKind::Event] {
-            assert_eq!(SchedulerKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("calendar"), None);
     }
 
     #[test]
@@ -547,13 +496,12 @@ mod tests {
 
     #[test]
     fn content_hash_ignores_host_observability_knobs() {
-        // audit / scheduler / tracing / metrics are pinned
+        // audit / tracing / metrics are pinned
         // cycle-identical, so two configs differing only there share a
         // memo entry by design.
         let base = AcceleratorConfig::default();
         let mut host = AcceleratorConfig {
             audit: true,
-            scheduler: SchedulerKind::Stepped,
             metrics: Some(hymm_mem::metrics::MetricsConfig {
                 sample_every: 512,
                 capacity: 64,

@@ -121,31 +121,6 @@ pub fn run_op_sink(m: &mut Machine, start: u64, job: &OpJob<'_>, mut out: Numeri
     let mut window: std::collections::VecDeque<u64> =
         std::collections::VecDeque::with_capacity(mlp);
 
-    // Event core: the phase's DMB footprint is the dense operand window plus
-    // the partial-output lines — the real output-row window for the merging
-    // policies, or the serial log region for materialise (the merged rows
-    // bypass the buffer there). Refused configurations stay on the generic
-    // path with identical results.
-    m.begin_phase_span(&[
-        hymm_mem::SpanRange {
-            kind: job.dense_kind,
-            base: (job.col_offset * dense_lines) as u64,
-            len: (cols * dense_lines) as u64,
-        },
-        match job.merge {
-            MergePolicy::Materialize => hymm_mem::SpanRange {
-                kind: job.out_kind,
-                base: MATERIALIZE_LOG_BASE,
-                len: total_nnz * out_lines as u64,
-            },
-            _ => hymm_mem::SpanRange {
-                kind: job.out_kind,
-                base: (job.out_row_offset * out_lines) as u64,
-                len: (rows * out_lines) as u64,
-            },
-        },
-    ]);
-
     let mut now = start;
     let mut end = start;
     let mut materialize_serial: u64 = MATERIALIZE_LOG_BASE;
@@ -408,7 +383,6 @@ pub fn run_op_sink(m: &mut Machine, start: u64, job: &OpJob<'_>, mut out: Numeri
         end = end.max(now);
     }
     end = end.max(now);
-    m.end_phase_span();
     m.record_phase(job.name, start, end, total_nnz);
     end
 }

@@ -90,23 +90,6 @@ pub fn run_rwp_sink(
         job.sparse.rows() + 1,
     );
 
-    // Event core: the phase's entire DMB footprint is the dense operand
-    // window plus the output rows, both contiguous line ranges. Opening a
-    // span lets the buffer serve the whole phase on range-indexed state
-    // (refused configurations simply stay on the generic path).
-    m.begin_phase_span(&[
-        hymm_mem::SpanRange {
-            kind: job.dense_kind,
-            base: (job.col_offset * dense_lines) as u64,
-            len: (job.sparse.cols() * dense_lines) as u64,
-        },
-        hymm_mem::SpanRange {
-            kind: job.out_kind,
-            base: (job.out_row_offset * out_lines) as u64,
-            len: (job.sparse.rows() * out_lines) as u64,
-        },
-    ]);
-
     let mut issue = start;
     let mut end = start;
     let mut window: VecDeque<u64> = VecDeque::with_capacity(mlp);
@@ -197,7 +180,6 @@ pub fn run_rwp_sink(
         end = end.max(row_done);
     }
     end = end.max(issue);
-    m.end_phase_span();
     m.absorb_smq(&mut smq);
     m.record_phase(job.name, start, end, job.sparse.nnz() as u64);
     end

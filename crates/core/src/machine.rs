@@ -13,7 +13,7 @@ use crate::stats::{PartialStats, PhaseReport, SimReport, StallBreakdown};
 use hymm_mem::dram::AccessPattern;
 use hymm_mem::smq::SmqStream;
 use hymm_mem::trace::{TraceData, TraceEvent, TraceKind, TraceRing, Track};
-use hymm_mem::{Dmb, Dram, EventStats, LineAddr, Lsq, MatrixKind, PrefetchPolicy, SpanRange};
+use hymm_mem::{Dmb, Dram, LineAddr, Lsq, MatrixKind, PrefetchPolicy};
 use std::collections::VecDeque;
 
 /// Raw component-counter totals sampled at a phase boundary. Deltas between
@@ -88,11 +88,6 @@ pub struct Machine {
     /// Interval metrics sampler; `None` when sampling is off. Like the
     /// trace ring, the disabled path is one pointer-null test per hook.
     metrics: Option<Box<MetricsSampler>>,
-    /// Event-core accounting accumulated across phase spans (stays zero on
-    /// the stepped core). Host-side observability only: deliberately kept
-    /// out of [`SimReport`] so the stepped/event bit-identity covers every
-    /// report field.
-    events: EventStats,
 }
 
 impl Machine {
@@ -115,7 +110,6 @@ impl Machine {
             prefetch_hints: VecDeque::new(),
             trace: config.mem.trace_ring(),
             metrics: config.metrics.map(|m| Box::new(MetricsSampler::new(m))),
-            events: EventStats::default(),
         }
     }
 
@@ -138,69 +132,6 @@ impl Machine {
             .as_deref_mut()
             .expect("checked above")
             .observe(now, raw, snap, &g);
-    }
-
-    /// Opens an event-core phase span over the engine's declared operand
-    /// line ranges. Returns `false` — leaving every component on the
-    /// generic (stepped) path — when the configuration forbids skipping:
-    /// stepped scheduler selected, tracing on (all timestamps observable),
-    /// a prefetcher active (speculative fills touch undeclared lines), or
-    /// the DMB's own legality checks fail. Callers do not need to branch on
-    /// the result; the access paths are identical either way.
-    pub fn begin_phase_span(&mut self, ranges: &[SpanRange]) -> bool {
-        if self.config.scheduler != crate::config::SchedulerKind::Event
-            || self.config.mem.prefetch != PrefetchPolicy::Off
-        {
-            return false;
-        }
-        if !self.dmb.begin_span(ranges) {
-            return false;
-        }
-        if self.config.lsq_forwarding {
-            self.lsq.begin_span();
-        }
-        true
-    }
-
-    /// Closes the phase span (if one is still open — the DMB may already
-    /// have bailed out to the generic path), materialising exact component
-    /// state and banking the event-accounting counters. Engines call this
-    /// before [`Machine::record_phase`] so audits always see real state.
-    pub fn end_phase_span(&mut self) {
-        self.dmb.end_span();
-        self.events.merge(&self.dmb.take_events());
-        self.lsq.end_span();
-    }
-
-    /// Event-core accounting accumulated so far (all zeros on the stepped
-    /// core).
-    pub fn event_stats(&self) -> EventStats {
-        self.events
-    }
-
-    /// Wake-time contract of the event-driven core: the earliest future
-    /// cycle at which any component changes state on its own (MSHR fills,
-    /// DRAM channel frees, LSQ retirements, PE drain). `u64::MAX` when
-    /// everything is quiescent.
-    pub fn next_event_cycle(&self) -> u64 {
-        self.dmb
-            .next_event_cycle()
-            .min(self.lsq.next_event_cycle())
-            .min(match self.dram.next_event_cycle() {
-                0 => u64::MAX,
-                c => c,
-            })
-            .min(match self.pe.next_event_cycle() {
-                0 => u64::MAX,
-                c => c,
-            })
-    }
-
-    /// Batched time advance to `cycle`: each component retires everything
-    /// that completes by then (currently MSHR fills; the other components
-    /// advance lazily on access).
-    pub fn advance_to(&mut self, cycle: u64) {
-        self.dmb.advance_to(cycle);
     }
 
     /// Current totals of every stall-source counter.

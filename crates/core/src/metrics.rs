@@ -12,11 +12,12 @@
 //! (`load_line` / `store_line` / phase boundaries) checks whether the
 //! presented cycle has crossed the next interval boundary and, if so,
 //! emits one sample per elapsed interval — back-filling skipped intervals
-//! from counter deltas. Under the event scheduler whole span windows can
-//! pass between observations; the back-filled samples split the counter
-//! deltas evenly across the crossed boundaries (remainder to the last),
-//! which preserves every per-series *sum* exactly while interpolating the
-//! per-interval *shape*. DESIGN.md §14 argues the legality.
+//! from counter deltas. A single long DMB miss or DRAM burst can cross
+//! several boundaries between two observations; the back-filled samples
+//! split the counter deltas evenly across the crossed boundaries
+//! (remainder to the last), which preserves every per-series *sum* exactly
+//! while interpolating the per-interval *shape*. DESIGN.md §14 argues the
+//! legality.
 //!
 //! # Exact stall accounting by telescoping
 //!

@@ -227,12 +227,11 @@ impl PeArray {
         self.drain_until
     }
 
-    /// Wake-time contract of the event-driven core: the first cycle the
-    /// issue port can accept a new operation with no wait. For a pipelined
-    /// array this is earlier than the drain cycle — the core must wake at
-    /// next-issue, not drain, or it would serialise the pipeline (at the
+    /// First cycle the issue port can accept a new operation with no wait.
+    /// For a pipelined array this is earlier than [`Self::busy_until`]: the
+    /// next operation issues behind the port, not behind the drain (at the
     /// default single-cycle MAC the two coincide).
-    pub fn next_event_cycle(&self) -> u64 {
+    pub fn issue_free(&self) -> u64 {
         self.issue_free
     }
 
@@ -341,7 +340,7 @@ mod tests {
         // to the seed's busy_until = start + chunks contract.
         let mut pe = PeArray::new(16);
         assert_eq!(pe.execute_row_mac(10, 16), 11);
-        assert_eq!(pe.next_event_cycle(), 11);
+        assert_eq!(pe.issue_free(), 11);
         assert_eq!(pe.busy_until(), 11);
         assert_eq!(pe.mac_cycles(), 1);
         assert_eq!(pe.mac_ops(), 1);
@@ -354,17 +353,17 @@ mod tests {
         // II == latency == 4: two chunks take 8 cycles of port occupancy.
         assert_eq!(pe.execute_mac(0, 2), 8);
         assert_eq!(pe.mac_cycles(), 8);
-        assert_eq!(pe.next_event_cycle(), 8);
+        assert_eq!(pe.issue_free(), 8);
         assert_eq!(pe.busy_until(), 8);
     }
 
     #[test]
-    fn pipelined_wakes_at_next_issue_not_drain() {
+    fn pipelined_port_frees_before_the_drain() {
         let mut pe = PeArray::with_timing(16, 4, true, false);
         // II 1, latency 4: two chunks issue at 0 and 1, last drains at 5.
         assert_eq!(pe.execute_mac(0, 2), 5);
         assert_eq!(pe.mac_cycles(), 2);
-        assert_eq!(pe.next_event_cycle(), 2); // port free while draining
+        assert_eq!(pe.issue_free(), 2); // port free while draining
         assert_eq!(pe.busy_until(), 5);
         // A third op issues behind the port, not behind the drain.
         assert_eq!(pe.execute_mac(0, 1), 6);
@@ -420,7 +419,7 @@ mod tests {
         let mut pe = PeArray::new(16);
         pe.execute_mac(0, 3);
         assert_eq!(pe.execute_mac(10, 0), 10);
-        assert_eq!(pe.next_event_cycle(), 10);
+        assert_eq!(pe.issue_free(), 10);
         assert_eq!(pe.mac_cycles(), 3);
     }
 }

@@ -28,7 +28,7 @@ use crate::engine::NumericSink;
 use crate::machine::Machine;
 use crate::prepared::{CombinationMemo, HybridLayerMemo, PreparedAdjacency};
 use crate::stats::SimReport;
-use hymm_mem::{EventStats, MatrixKind};
+use hymm_mem::MatrixKind;
 use hymm_sparse::{Coo, Csc, Csr, Dense, SparseError};
 use std::sync::Arc;
 
@@ -39,10 +39,6 @@ pub struct LayerOutcome {
     pub output: Dense,
     /// Timing and traffic report.
     pub report: SimReport,
-    /// Event-core scheduling counters (all zero under the stepped core —
-    /// host observability, deliberately outside the [`SimReport`] so the
-    /// two cores stay bit-identical on every architectural statistic).
-    pub events: EventStats,
 }
 
 /// Simulates one combination-first GCN layer.
@@ -148,7 +144,6 @@ pub fn run_gcn_layer_prepared(
             );
             Ok(LayerOutcome {
                 output: out,
-                events: machine.event_stats(),
                 report: machine.into_report(t2),
             })
         }
@@ -201,7 +196,6 @@ pub fn run_gcn_layer_prepared(
             );
             Ok(LayerOutcome {
                 output: out,
-                events: machine.event_stats(),
                 report: machine.into_report(t2),
             })
         }
@@ -244,7 +238,6 @@ pub fn run_gcn_layer_prepared(
             );
             Ok(LayerOutcome {
                 output: out,
-                events: machine.event_stats(),
                 report: machine.into_report(t2),
             })
         }
@@ -285,7 +278,6 @@ pub fn run_gcn_layer_prepared(
                 );
                 return Ok(LayerOutcome {
                     output: hit.output.clone(),
-                    events: machine.event_stats(),
                     report: machine.into_report(t2),
                 });
             }
@@ -338,7 +330,6 @@ pub fn run_gcn_layer_prepared(
             }
             Ok(LayerOutcome {
                 output: out,
-                events: machine.event_stats(),
                 report: machine.into_report(t2),
             })
         }

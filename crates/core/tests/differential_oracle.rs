@@ -129,6 +129,42 @@ fn all_dataflows_are_bit_identical_to_the_dense_reference() {
     }
 }
 
+/// The HyMM-noacc ablation: partial outputs materialised instead of merged
+/// near-memory, under OP (its log-region output writes) and the hybrid
+/// schedule (region-1 partials). Same numeric oracle and audits as the
+/// headline sweep, on its own randomized skewed graphs.
+#[test]
+fn materialized_merge_is_bit_identical_to_the_dense_reference() {
+    let config = AcceleratorConfig {
+        hybrid_merge: MergePolicy::Materialize,
+        baseline_merge: MergePolicy::Materialize,
+        ..audited_config()
+    };
+    for seed in 0..6u64 {
+        let mut rng = Pcg64::seed_from_u64(0xA77E ^ seed);
+        let adj = integer_adjacency(&skewed_graph(seed), &mut rng);
+        let x = integer_features(adj.rows(), &mut rng);
+        let w = integer_weights(&mut rng);
+        let reference = densify(&adj)
+            .matmul(&densify(&x).matmul(&w).unwrap())
+            .unwrap();
+        for dataflow in [Dataflow::Outer, Dataflow::Hybrid] {
+            let outcome = run_gcn_layer(&config, dataflow, &adj, &x, &w)
+                .unwrap_or_else(|e| panic!("seed {seed} {dataflow:?}: {e}"));
+            assert_eq!(
+                outcome.output.as_slice(),
+                reference.as_slice(),
+                "seed {seed}: materialising {dataflow:?} diverged from the dense reference"
+            );
+            let violations = audit::check_report(&outcome.report);
+            assert!(
+                violations.is_empty(),
+                "seed {seed} {dataflow:?}: {violations:?}"
+            );
+        }
+    }
+}
+
 /// OP merge accounting: with the near-memory accumulator, one output line
 /// per row (OUT_DIM = 16 floats = one 64 B line) and a single output tile,
 /// the number of accumulator merges is exactly the number of

@@ -14,7 +14,6 @@ use hymm_core::prepared::{CombinationMemo, PreparedAdjacency};
 use hymm_core::sim::run_gcn_layer_prepared;
 use hymm_core::stats::SimReport;
 use hymm_graph::normalize::gcn_normalize;
-use hymm_mem::EventStats;
 use hymm_sparse::{Coo, Dense, SparseError};
 
 /// Result of a simulated multi-layer inference.
@@ -26,9 +25,6 @@ pub struct InferenceOutcome {
     pub report: SimReport,
     /// Per-layer reports.
     pub layer_reports: Vec<SimReport>,
-    /// Event-core scheduling counters summed over all layers (all zero
-    /// under the stepped core; host observability, not architectural state).
-    pub events: EventStats,
 }
 
 /// Converts a dense activation matrix into the sparse triplet form used as
@@ -108,7 +104,6 @@ pub fn run_inference_prepared(
     let mut output = None;
     let mut report = SimReport::empty();
     let mut layer_reports = Vec::with_capacity(model.layers().len());
-    let mut events = EventStats::default();
 
     for (layer, (spec, w)) in model.layers().iter().zip(model.weights()).enumerate() {
         let outcome =
@@ -118,7 +113,6 @@ pub fn run_inference_prepared(
             relu(&mut h);
         }
         report.merge(&outcome.report);
-        events.merge(&outcome.events);
         layer_reports.push(outcome.report);
         x = sparsify(&h);
         output = Some(h);
@@ -128,7 +122,6 @@ pub fn run_inference_prepared(
         output: output.expect("model has at least one layer"),
         report,
         layer_reports,
-        events,
     })
 }
 

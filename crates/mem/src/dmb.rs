@@ -317,46 +317,6 @@ impl LineTable {
         removed
     }
 
-    /// Span-materialisation insert: bucket + arena bookkeeping only, no
-    /// recency linking (the caller rewrites every class list wholesale
-    /// afterwards), no MRU refresh, no per-mutation check. Never grows:
-    /// occupancy is bounded by `capacity + mshr_count`, which the
-    /// constructor sizes the bucket array for with headroom.
-    fn insert_unlinked(&mut self, addr: LineAddr, dirty: bool, ready_at: u64, lru: u64) -> u32 {
-        debug_assert!(
-            (self.len + 1) * 4 < self.buckets.len() * 3,
-            "span rebuild exceeded the pre-sized bucket array"
-        );
-        let slot = LineSlot {
-            addr,
-            dirty,
-            prefetched: false,
-            ready_at,
-            lru,
-            prev: NIL,
-            next: NIL,
-            bucket: NIL,
-        };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = slot;
-                idx
-            }
-            None => {
-                self.slots.push(slot);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let mut b = self.home_bucket(addr);
-        while self.buckets[b] != NIL {
-            b = (b + 1) & self.mask;
-        }
-        self.buckets[b] = idx;
-        self.slots[idx as usize].bucket = b as u32;
-        self.len += 1;
-        idx
-    }
-
     fn grow(&mut self) {
         let new_len = self.buckets.len() * 2;
         self.buckets = vec![NIL; new_len];
@@ -484,261 +444,6 @@ struct MshrSlot {
     sig: u64,
 }
 
-/// Counters of the event-driven core's span execution, reported per layer
-/// (they are host-scheduling observability, not architectural state, so they
-/// live outside [`crate::stats::HitStats`]-style report fields).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventStats {
-    /// Component wake events processed at a cycle no other event had
-    /// reached yet (the request had to wait for a port grant or resource).
-    pub events_scheduled: u64,
-    /// Wake events serviced at exactly the requested cycle — they rode a
-    /// wake that was already due, so no new calendar entry was needed.
-    pub events_coalesced: u64,
-    /// Cycles inside span windows that no port ever simulated: the port
-    /// clocks advanced past them between grants. This is the work the
-    /// cycle-stepped core would have burned stepping provably-inert cycles.
-    pub cycles_skipped: u64,
-}
-
-impl EventStats {
-    /// Accumulates another counter set.
-    pub fn merge(&mut self, other: &EventStats) {
-        self.events_scheduled += other.events_scheduled;
-        self.events_coalesced += other.events_coalesced;
-        self.cycles_skipped += other.cycles_skipped;
-    }
-
-    /// Total wake events processed.
-    pub fn events(&self) -> u64 {
-        self.events_scheduled + self.events_coalesced
-    }
-}
-
-/// One operand's line-index window, declared by an engine when opening a
-/// phase span on the event core: every DMB access inside the span whose
-/// address falls in a declared range takes the range-indexed fast path; any
-/// other address closes the span (exactly materialising buffer state) and
-/// falls back to the generic path, so undeclared traffic can never be
-/// mis-modelled.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanRange {
-    /// Matrix kind of the operand.
-    pub kind: MatrixKind,
-    /// First line index of the window.
-    pub base: u64,
-    /// Window length in lines (an upper bound is fine for append-only logs).
-    pub len: u64,
-}
-
-/// Marker for ring entries that reference the untracked-lines list rather
-/// than a declared range.
-const UNTRACKED: u32 = u32::MAX;
-
-/// Per-line state inside a span range. `tick == 0` means not resident; live
-/// ticks continue the real `lru_tick` sequence, so they are unique and
-/// nonzero.
-#[derive(Debug, Clone, Copy)]
-struct SpanLine {
-    tick: u64,
-    ready_at: u64,
-    dirty: bool,
-    /// Arena slot the line occupied at span entry (`NIL` for lines first
-    /// inserted during the span). Kept across mid-span evict/re-insert: the
-    /// slot a line occupies is unobservable, so the survivor may simply keep
-    /// its old one at materialisation.
-    slot: u32,
-}
-
-const SPAN_LINE_EMPTY: SpanLine = SpanLine {
-    tick: 0,
-    ready_at: 0,
-    dirty: false,
-    slot: NIL,
-};
-
-#[derive(Debug, Clone)]
-struct SpanRangeState {
-    kind: MatrixKind,
-    base: u64,
-    len: u64,
-    /// Line state, grown on demand (append-only logs touch lines serially,
-    /// so growth is amortised push).
-    lines: Vec<SpanLine>,
-}
-
-impl SpanRangeState {
-    fn line_mut(&mut self, li: usize) -> &mut SpanLine {
-        if li >= self.lines.len() {
-            self.lines.resize(li + 1, SPAN_LINE_EMPTY);
-        }
-        &mut self.lines[li]
-    }
-
-    fn tick_of(&self, li: usize) -> u64 {
-        self.lines.get(li).map_or(0, |l| l.tick)
-    }
-}
-
-/// One recency event in a span class ring. An entry is *live* while its tick
-/// still matches its line's current tick; otherwise the line was touched
-/// again (a newer entry exists further down the ring), evicted, or dropped,
-/// and the entry is skipped as stale. This lazy representation makes a
-/// touch O(1) instead of a linked-list splice.
-#[derive(Debug, Clone, Copy)]
-struct SpanRingEntry {
-    /// Declared-range index, or [`UNTRACKED`].
-    range: u32,
-    /// Line offset within the range, or index into the untracked list.
-    line: u32,
-    tick: u64,
-}
-
-/// A line resident at span entry that no declared range covers. Engines
-/// never address these inside the span, so they sit as eviction victims (or
-/// flush/invalidate targets) with frozen state.
-#[derive(Debug, Clone, Copy)]
-struct SpanUntracked {
-    addr: LineAddr,
-    dirty: bool,
-    ready_at: u64,
-    lru: u64,
-    slot: u32,
-    removed: bool,
-}
-
-/// Lazy model of one eviction-class LRU list during a span.
-///
-/// While the span is *unarmed* (no capacity pressure yet), `ring` holds mere
-/// presence markers — one per resident line at snapshot plus one per insert,
-/// possibly stale or duplicated — and recency lives only in the line ticks.
-/// [`SpanState::arm`] converts the markers into true recency order the first
-/// time a victim is needed.
-///
-/// Once armed, victim search scans `carryover` first, then `ring` from the
-/// front: carryover holds candidates that were older than the current ring
-/// front but pinned by an outstanding fill when last examined. Moving a
-/// pinned candidate to the carryover preserves relative order (all carryover
-/// entries predate every surviving ring entry), and rescanning the
-/// carryover on each eviction reproduces the real walk, which restarts from
-/// the class head and re-checks previously pinned lines every time.
-#[derive(Debug, Clone, Default)]
-struct SpanClass {
-    ring: std::collections::VecDeque<SpanRingEntry>,
-    carryover: Vec<SpanRingEntry>,
-}
-
-/// Live state of an open span. The real [`LineTable`] is stale while this
-/// exists; [`Dmb::end_span`] materialises it back, bit-exactly.
-#[derive(Debug, Clone)]
-struct SpanState {
-    ranges: Vec<SpanRangeState>,
-    untracked: Vec<SpanUntracked>,
-    classes: [SpanClass; 3],
-    /// Live resident lines (the real `lines.len` is stale during the span).
-    len: usize,
-    /// Tracked lines that were resident at span entry (`(range, line)`),
-    /// so materialisation can find dead pre-existing slots without scanning
-    /// whole ranges.
-    snapshot_tracked: Vec<(u32, u32)>,
-    /// Whether eviction pressure has been seen. Unarmed spans elide all
-    /// per-touch ring maintenance (the dominant cost of hit-heavy phases);
-    /// recency is recovered from the ticks when first needed.
-    armed: bool,
-    // Event accounting for the span window.
-    scheduled: u64,
-    coalesced: u64,
-    entry_read_port: u64,
-    entry_write_port: u64,
-    grants: u64,
-}
-
-impl SpanState {
-    /// Declared range containing `addr`, with the line offset.
-    fn locate(&self, addr: LineAddr) -> Option<(usize, usize)> {
-        self.ranges.iter().enumerate().find_map(|(ri, r)| {
-            if r.kind == addr.kind && addr.index >= r.base && addr.index < r.base + r.len {
-                Some((ri, (addr.index - r.base) as usize))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Whether a ring entry still describes its line's current state.
-    fn entry_live(&self, e: &SpanRingEntry) -> bool {
-        if e.range == UNTRACKED {
-            !self.untracked[e.line as usize].removed
-        } else {
-            self.ranges[e.range as usize].tick_of(e.line as usize) == e.tick
-        }
-    }
-
-    fn entry_addr(&self, e: &SpanRingEntry) -> LineAddr {
-        if e.range == UNTRACKED {
-            self.untracked[e.line as usize].addr
-        } else {
-            let r = &self.ranges[e.range as usize];
-            LineAddr::new(r.kind, r.base + e.line as u64)
-        }
-    }
-
-    /// Converts unarmed presence markers into true recency rings. Live lines
-    /// carry unique, monotone ticks (the real `lru_tick` sequence), so
-    /// sorting live markers by current tick reproduces exactly the class-list
-    /// order the generic path would hold; duplicate markers (a line dropped
-    /// and re-inserted keeps both) collapse onto the same refreshed tick and
-    /// are removed adjacent after the sort.
-    fn arm(&mut self) {
-        debug_assert!(!self.armed);
-        self.armed = true;
-        let SpanState {
-            ranges,
-            untracked,
-            classes,
-            ..
-        } = self;
-        for c in classes.iter_mut() {
-            debug_assert!(c.carryover.is_empty());
-            let mut live: Vec<SpanRingEntry> = c
-                .ring
-                .drain(..)
-                .filter_map(|mut e| {
-                    let tick = if e.range == UNTRACKED {
-                        let u = &untracked[e.line as usize];
-                        if u.removed {
-                            return None;
-                        }
-                        u.lru
-                    } else {
-                        match ranges[e.range as usize].tick_of(e.line as usize) {
-                            0 => return None,
-                            t => t,
-                        }
-                    };
-                    e.tick = tick;
-                    Some(e)
-                })
-                .collect();
-            live.sort_unstable_by_key(|e| e.tick);
-            live.dedup_by_key(|e| e.tick);
-            c.ring = live.into();
-        }
-    }
-
-    /// Records a port grant for the event accounting: a request serviced at
-    /// exactly its arrival cycle coalesces onto an already-due wake; one
-    /// granted later needed its own calendar entry.
-    fn record_grant(&mut self, now: u64, start: u64) {
-        self.grants += 1;
-        if start == now {
-            self.coalesced += 1;
-        } else {
-            self.scheduled += 1;
-        }
-    }
-}
-
 /// Outcome of a [`Dmb::read`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadOutcome {
@@ -844,18 +549,6 @@ pub struct Dmb {
     port_ts: u64,
     /// Track of the port currently being served (read or write).
     port_track: Track,
-    /// Open phase span of the event-driven core, `None` on the generic
-    /// (stepped) path.
-    span: Option<Box<SpanState>>,
-    /// Parked state of the last closed span, reused by the next
-    /// [`Dmb::begin_span`] so the per-phase span allocations (recency rings,
-    /// untracked and snapshot scratch) amortise across a run instead of
-    /// being paid per phase (DESIGN §11.4's span-mode overhead).
-    span_spare: Option<Box<SpanState>>,
-    /// Retired per-range line tables, capacity preserved for reuse.
-    span_line_pool: Vec<Vec<SpanLine>>,
-    /// Event counters drained from closed spans, collected by the machine.
-    events: EventStats,
 }
 
 impl Dmb {
@@ -907,10 +600,6 @@ impl Dmb {
             trace: config.trace_ring(),
             port_ts: 0,
             port_track: Track::DmbRead,
-            span: None,
-            span_spare: None,
-            span_line_pool: Vec::new(),
-            events: EventStats::default(),
         }
     }
 
@@ -1317,11 +1006,6 @@ impl Dmb {
         dram: &mut Dram,
         pattern: AccessPattern,
     ) -> Option<PrefetchDrop> {
-        // Spans require the prefetcher off; close one defensively rather
-        // than let the generic machinery mutate stale structures.
-        if self.span.is_some() {
-            self.end_span();
-        }
         self.reap_mshrs(now);
         if self.contains(addr) || self.mshr_lookup(addr).is_some() {
             return Some(self.drop_prefetch(now, addr, PrefetchDrop::Redundant));
@@ -1371,9 +1055,6 @@ impl Dmb {
         dram: &mut Dram,
         pattern: AccessPattern,
     ) -> ReadOutcome {
-        if self.span.is_some() {
-            return self.span_read(now, addr, dram, pattern);
-        }
         let start = now.max(self.read_port_free);
         self.read_port_free = start + 1;
         self.port_ts = start;
@@ -1454,9 +1135,6 @@ impl Dmb {
         allocate: bool,
         pattern: AccessPattern,
     ) -> WriteOutcome {
-        if self.span.is_some() {
-            return self.span_write(now, addr, dram, allocate, pattern);
-        }
         let start = now.max(self.write_port_free);
         self.write_port_free = start + 1;
         self.port_ts = start;
@@ -1539,9 +1217,6 @@ impl Dmb {
     /// Writes back all dirty lines of `kind` and drops every line of that
     /// kind; returns the cycle at which the last writeback is accepted.
     pub fn flush_kind(&mut self, now: u64, kind: MatrixKind, dram: &mut Dram) -> u64 {
-        if self.span.is_some() {
-            return self.span_flush_kind(now, kind, dram);
-        }
         self.collect_kind(kind);
         // Deterministic order: by line index.
         let mut sorted = std::mem::take(&mut self.drain_scratch);
@@ -1564,10 +1239,6 @@ impl Dmb {
 
     /// Drops every line of `kind` without writeback (dead data).
     pub fn invalidate_kind(&mut self, kind: MatrixKind) {
-        if self.span.is_some() {
-            self.span_invalidate_kind(kind);
-            return;
-        }
         self.collect_kind(kind);
         let addrs = std::mem::take(&mut self.drain_scratch);
         for &addr in &addrs {
@@ -1582,12 +1253,6 @@ impl Dmb {
 
     /// Whether a line is currently resident.
     pub fn contains(&self, addr: LineAddr) -> bool {
-        if let Some(span) = &self.span {
-            if let Some((ri, li)) = span.locate(addr) {
-                return span.ranges[ri].tick_of(li) != 0;
-            }
-            return span.untracked.iter().any(|u| !u.removed && u.addr == addr);
-        }
         // Read-only MRU probe (a valid hint always names a live slot), then
         // the hash walk; residency queries must not disturb LRU state, so
         // the hint is not refreshed here.
@@ -1598,39 +1263,6 @@ impl Dmb {
     /// Number of resident lines of `kind`.
     pub fn resident_lines(&self, kind: MatrixKind) -> usize {
         let class = kind.evict_class() as usize;
-        if let Some(span) = &self.span {
-            let c = &span.classes[class];
-            if span.armed {
-                return c
-                    .carryover
-                    .iter()
-                    .chain(c.ring.iter())
-                    .filter(|e| span.entry_live(e) && span.entry_addr(e).kind == kind)
-                    .count();
-            }
-            // Unarmed markers can be stale (touches bump only the line tick)
-            // or duplicated (a dropped-then-re-inserted line keeps both), so
-            // count distinct *current* ticks of live lines of the kind —
-            // ticks are unique per live line.
-            let mut ticks: Vec<u64> = c
-                .ring
-                .iter()
-                .filter_map(|e| {
-                    if e.range == UNTRACKED {
-                        let u = &span.untracked[e.line as usize];
-                        (!u.removed && u.addr.kind == kind).then_some(u.lru)
-                    } else {
-                        let r = &span.ranges[e.range as usize];
-                        (r.kind == kind)
-                            .then(|| r.tick_of(e.line as usize))
-                            .filter(|&t| t != 0)
-                    }
-                })
-                .collect();
-            ticks.sort_unstable();
-            ticks.dedup();
-            return ticks.len();
-        }
         let mut count = 0;
         let mut idx = self.lines.heads[class];
         while idx != NIL {
@@ -1645,7 +1277,7 @@ impl Dmb {
 
     /// Total resident lines.
     pub fn occupancy(&self) -> usize {
-        self.span.as_ref().map_or(self.lines.len, |s| s.len)
+        self.lines.len
     }
 
     /// Capacity in lines.
@@ -1725,664 +1357,6 @@ impl Dmb {
     /// Near-memory accumulator merges recorded by the engines.
     pub fn accumulator_merges(&self) -> u64 {
         self.accumulator_merges
-    }
-
-    // ------------------------------------------------------------------
-    // Event-driven core: phase spans.
-    //
-    // A span freezes the line table and forward-indexes the phase's working
-    // set into range-indexed arrays plus lazy per-class recency rings, so
-    // the per-access cost drops from hash probes and list splices to a few
-    // array operations. Every counter, port clock, MSHR operation and DRAM
-    // call runs the *same* live code as the generic path, and `end_span`
-    // materialises the table back bit-exactly — the `scheduler_equivalence`
-    // differential test and the timing goldens pin this.
-    // ------------------------------------------------------------------
-
-    /// Opens a phase span over the declared operand ranges. Returns `false`
-    /// — leaving the buffer on the generic path — when span preconditions
-    /// do not hold: tracing on (every cycle becomes observable, so skipping
-    /// is illegal), class eviction off (victim choice would observe global
-    /// LRU ticks), prefetched lines present or speculative fills in flight
-    /// (spans require the prefetcher off), a span already open, or
-    /// overlapping/degenerate ranges.
-    pub fn begin_span(&mut self, ranges: &[SpanRange]) -> bool {
-        if self.span.is_some()
-            || self.trace.is_some()
-            || !self.class_eviction
-            || self.mshr_prefetch_live > 0
-        {
-            return false;
-        }
-        for (i, a) in ranges.iter().enumerate() {
-            if a.len == 0 || a.len >= u32::MAX as u64 {
-                return false;
-            }
-            for b in &ranges[i + 1..] {
-                if a.kind == b.kind && a.base < b.base + b.len && b.base < a.base + a.len {
-                    return false;
-                }
-            }
-        }
-        // Reuse the last closed span's containers (recycled empty, capacity
-        // preserved) rather than reallocating the whole working set per
-        // phase.
-        let mut span = self.span_spare.take().unwrap_or_else(|| {
-            Box::new(SpanState {
-                ranges: Vec::new(),
-                untracked: Vec::new(),
-                classes: Default::default(),
-                len: 0,
-                snapshot_tracked: Vec::new(),
-                armed: false,
-                scheduled: 0,
-                coalesced: 0,
-                entry_read_port: 0,
-                entry_write_port: 0,
-                grants: 0,
-            })
-        });
-        debug_assert!(
-            span.ranges.is_empty()
-                && span.untracked.is_empty()
-                && span.snapshot_tracked.is_empty()
-                && span
-                    .classes
-                    .iter()
-                    .all(|c| c.ring.is_empty() && c.carryover.is_empty()),
-            "recycled span scratch must be empty"
-        );
-        for r in ranges {
-            let lines = self.span_line_pool.pop().unwrap_or_default();
-            debug_assert!(lines.is_empty(), "pooled line table must be empty");
-            span.ranges.push(SpanRangeState {
-                kind: r.kind,
-                base: r.base,
-                len: r.len,
-                lines,
-            });
-        }
-        span.len = self.lines.len;
-        span.armed = false;
-        span.scheduled = 0;
-        span.coalesced = 0;
-        span.entry_read_port = self.read_port_free;
-        span.entry_write_port = self.write_port_free;
-        span.grants = 0;
-        // Snapshot: walk each class list oldest to newest, so ring order
-        // equals real recency order.
-        for class in 0..3 {
-            let mut idx = self.lines.heads[class];
-            while idx != NIL {
-                let slot = &self.lines.slots[idx as usize];
-                if slot.prefetched {
-                    self.recycle_span(span);
-                    return false;
-                }
-                let entry = match span.locate(slot.addr) {
-                    Some((ri, li)) => {
-                        *span.ranges[ri].line_mut(li) = SpanLine {
-                            tick: slot.lru,
-                            ready_at: slot.ready_at,
-                            dirty: slot.dirty,
-                            slot: idx,
-                        };
-                        span.snapshot_tracked.push((ri as u32, li as u32));
-                        SpanRingEntry {
-                            range: ri as u32,
-                            line: li as u32,
-                            tick: slot.lru,
-                        }
-                    }
-                    None => {
-                        span.untracked.push(SpanUntracked {
-                            addr: slot.addr,
-                            dirty: slot.dirty,
-                            ready_at: slot.ready_at,
-                            lru: slot.lru,
-                            slot: idx,
-                            removed: false,
-                        });
-                        SpanRingEntry {
-                            range: UNTRACKED,
-                            line: (span.untracked.len() - 1) as u32,
-                            tick: slot.lru,
-                        }
-                    }
-                };
-                span.classes[class].ring.push_back(entry);
-                idx = slot.next;
-            }
-        }
-        self.span = Some(span);
-        true
-    }
-
-    /// Clears a span's containers (keeping their capacity) and parks the
-    /// whole state for the next [`Dmb::begin_span`].
-    fn recycle_span(&mut self, mut span: Box<SpanState>) {
-        for r in span.ranges.iter_mut() {
-            let mut lines = std::mem::take(&mut r.lines);
-            lines.clear();
-            self.span_line_pool.push(lines);
-        }
-        span.ranges.clear();
-        span.untracked.clear();
-        span.snapshot_tracked.clear();
-        for c in span.classes.iter_mut() {
-            c.ring.clear();
-            c.carryover.clear();
-        }
-        self.span_spare = Some(span);
-    }
-
-    /// Closes the open span (no-op without one), materialising the exact
-    /// line-table state the generic path would have reached: dead
-    /// pre-existing slots are removed, net-new lines hash-inserted,
-    /// surviving slots updated in place, and every class list relinked in
-    /// final recency order. Event counters accumulate for
-    /// [`Dmb::take_events`].
-    pub fn end_span(&mut self) {
-        let Some(mut span) = self.span.take() else {
-            return;
-        };
-        // Arming is exactly the marker → recency-order conversion the
-        // materialisation walk below needs; a never-pressured span pays it
-        // once, here.
-        if !span.armed {
-            span.arm();
-        }
-        for u in &span.untracked {
-            if u.removed {
-                let _ = self.lines.remove_slot(u.slot);
-            }
-        }
-        for &(ri, li) in &span.snapshot_tracked {
-            let line = &span.ranges[ri as usize].lines[li as usize];
-            if line.tick == 0 {
-                let _ = self.lines.remove_slot(line.slot);
-            }
-        }
-        for (class, c) in span.classes.iter().enumerate() {
-            let mut prev = NIL;
-            let mut head = NIL;
-            for e in c.carryover.iter().chain(c.ring.iter()) {
-                if !span.entry_live(e) {
-                    continue;
-                }
-                let (addr, dirty, ready_at, lru, slot) = if e.range == UNTRACKED {
-                    let u = &span.untracked[e.line as usize];
-                    (u.addr, u.dirty, u.ready_at, u.lru, u.slot)
-                } else {
-                    let r = &span.ranges[e.range as usize];
-                    let l = &r.lines[e.line as usize];
-                    (
-                        LineAddr::new(r.kind, r.base + e.line as u64),
-                        l.dirty,
-                        l.ready_at,
-                        l.tick,
-                        l.slot,
-                    )
-                };
-                let idx = if slot != NIL {
-                    let s = &mut self.lines.slots[slot as usize];
-                    s.dirty = dirty;
-                    s.ready_at = ready_at;
-                    s.lru = lru;
-                    slot
-                } else {
-                    self.lines.insert_unlinked(addr, dirty, ready_at, lru)
-                };
-                self.lines.slots[idx as usize].prev = prev;
-                self.lines.slots[idx as usize].next = NIL;
-                match prev {
-                    NIL => head = idx,
-                    p => self.lines.slots[p as usize].next = idx,
-                }
-                prev = idx;
-            }
-            self.lines.heads[class] = head;
-            self.lines.tails[class] = prev;
-        }
-        // The probe hint only short-circuits lookups; clearing it is not
-        // observable in any outcome.
-        self.lines.mru = NIL;
-        debug_assert_eq!(self.lines.len, span.len, "span occupancy accounting");
-        self.events.events_scheduled += span.scheduled;
-        self.events.events_coalesced += span.coalesced;
-        let port_advance = (self.read_port_free - span.entry_read_port)
-            + (self.write_port_free - span.entry_write_port);
-        self.events.cycles_skipped += port_advance.saturating_sub(span.grants);
-        #[cfg(any(test, feature = "audit"))]
-        {
-            // Event-accounting invariant: every port grant inside the span
-            // was classified exactly once, as either a newly scheduled wake
-            // or a coalesced same-cycle grant.
-            assert_eq!(
-                span.scheduled + span.coalesced,
-                span.grants,
-                "span event accounting must cover every port grant"
-            );
-            self.lines.check();
-            self.check_mshr_tracking();
-        }
-        self.recycle_span(span);
-    }
-
-    /// Drains the event counters accumulated by closed spans.
-    pub fn take_events(&mut self) -> EventStats {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Whether a span is currently open.
-    pub fn span_active(&self) -> bool {
-        self.span.is_some()
-    }
-
-    /// Wake-time contract of the event-driven core: the earliest future
-    /// cycle at which this component changes state on its own — the next
-    /// MSHR fill completion (`u64::MAX` when none is outstanding).
-    pub fn next_event_cycle(&self) -> u64 {
-        self.mshr_min_ready
-    }
-
-    /// Batched time advance: retires every fill complete by `cycle`. The
-    /// access paths call this implicitly; schedulers may call it directly
-    /// between engine resume points.
-    pub fn advance_to(&mut self, cycle: u64) {
-        self.reap_mshrs(cycle);
-    }
-
-    /// [`Dmb::read`] on the span fast path.
-    fn span_read(
-        &mut self,
-        now: u64,
-        addr: LineAddr,
-        dram: &mut Dram,
-        pattern: AccessPattern,
-    ) -> ReadOutcome {
-        let mut span = self.span.take().expect("span dispatch");
-        let Some((ri, li)) = span.locate(addr) else {
-            // Undeclared address: materialise and fall back — the generic
-            // path then serves this (and every later) access of the phase.
-            self.span = Some(span);
-            self.end_span();
-            return self.read(now, addr, dram, pattern);
-        };
-        let start = now.max(self.read_port_free);
-        self.read_port_free = start + 1;
-        span.record_grant(now, start);
-        self.reap_mshrs(start);
-        let line = *span.ranges[ri].line_mut(li);
-        if line.tick != 0 {
-            let ready = (start + self.hit_latency).max(line.ready_at);
-            self.hits.read_hits += 1;
-            self.span_touch(&mut span, ri, li);
-            self.span = Some(span);
-            return ReadOutcome { ready, hit: true };
-        }
-        if let Some(fill) = self.mshr_lookup(addr) {
-            self.mshr_merges += 1;
-            self.hits.read_misses += 1;
-            let ready = fill.max(start + self.hit_latency);
-            self.miss_latency_cycles += ready - start;
-            self.span = Some(span);
-            return ReadOutcome { ready, hit: false };
-        }
-        let mut issue = start;
-        if self.mshr_live >= self.mshr_count {
-            self.mshr_stalls += 1;
-            issue = issue.max(self.mshr_min_ready);
-            self.mshr_stall_cycles += issue - start;
-            self.reap_mshrs(issue);
-        }
-        let ready = dram.read(issue, addr.kind, self.line_bytes, pattern);
-        self.mshr_insert(addr, ready, false);
-        self.span_insert_line(&mut span, ri, li, false, ready, issue, dram);
-        self.hits.read_misses += 1;
-        self.miss_latency_cycles += ready - start;
-        self.span = Some(span);
-        ReadOutcome { ready, hit: false }
-    }
-
-    /// [`Dmb::write`] on the span fast path.
-    fn span_write(
-        &mut self,
-        now: u64,
-        addr: LineAddr,
-        dram: &mut Dram,
-        allocate: bool,
-        pattern: AccessPattern,
-    ) -> WriteOutcome {
-        let mut span = self.span.take().expect("span dispatch");
-        let Some((ri, li)) = span.locate(addr) else {
-            self.span = Some(span);
-            self.end_span();
-            return self.write(now, addr, dram, allocate, pattern);
-        };
-        let start = now.max(self.write_port_free);
-        self.write_port_free = start + 1;
-        span.record_grant(now, start);
-        self.reap_mshrs(start);
-        let resident = span.ranges[ri].line_mut(li).tick != 0;
-        if resident {
-            span.ranges[ri].lines[li].dirty = true;
-            self.hits.write_hits += 1;
-            self.span_touch(&mut span, ri, li);
-            self.span = Some(span);
-            return WriteOutcome {
-                ready: start + self.hit_latency,
-                hit: true,
-            };
-        }
-        self.hits.write_misses += 1;
-        let outcome = if allocate {
-            self.span_insert_line(
-                &mut span,
-                ri,
-                li,
-                true,
-                start + self.hit_latency,
-                start,
-                dram,
-            );
-            WriteOutcome {
-                ready: start + self.hit_latency,
-                hit: false,
-            }
-        } else {
-            dram.write(start, addr.kind, self.line_bytes, pattern);
-            WriteOutcome {
-                ready: start + 1,
-                hit: false,
-            }
-        };
-        self.span = Some(span);
-        outcome
-    }
-
-    /// Span equivalent of [`LineTable::touch_slot`]: bump the line's tick;
-    /// if the newest ring entry already names this line, refresh it in
-    /// place (the real path skips the splice when the line is already the
-    /// class tail), otherwise push a new entry and let the old one go
-    /// stale.
-    fn span_touch(&mut self, span: &mut SpanState, ri: usize, li: usize) {
-        self.lru_tick += 1;
-        let tick = self.lru_tick;
-        let r = &mut span.ranges[ri];
-        r.lines[li].tick = tick;
-        // Unarmed: the tick alone carries recency; no ring maintenance.
-        if !span.armed {
-            return;
-        }
-        let class = r.kind.evict_class() as usize;
-        let c = &mut span.classes[class];
-        match c.ring.back_mut() {
-            Some(e) if e.range == ri as u32 && e.line == li as u32 => e.tick = tick,
-            _ => c.ring.push_back(SpanRingEntry {
-                range: ri as u32,
-                line: li as u32,
-                tick,
-            }),
-        }
-    }
-
-    /// Span equivalent of [`Dmb::insert_line`].
-    #[allow(clippy::too_many_arguments)]
-    fn span_insert_line(
-        &mut self,
-        span: &mut SpanState,
-        ri: usize,
-        li: usize,
-        dirty: bool,
-        ready_at: u64,
-        now: u64,
-        dram: &mut Dram,
-    ) {
-        if span.len >= self.capacity_lines && !span.armed {
-            span.arm();
-        }
-        while span.len >= self.capacity_lines {
-            if !self.span_evict_one(span, now, dram) {
-                break; // everything in flight; oversubscribe rather than deadlock
-            }
-        }
-        self.lru_tick += 1;
-        let tick = self.lru_tick;
-        let class = span.ranges[ri].kind.evict_class() as usize;
-        let line = span.ranges[ri].line_mut(li);
-        line.tick = tick;
-        line.dirty = dirty;
-        line.ready_at = ready_at;
-        span.classes[class].ring.push_back(SpanRingEntry {
-            range: ri as u32,
-            line: li as u32,
-            tick,
-        });
-        self.line_fills += 1;
-        span.len += 1;
-    }
-
-    /// Span equivalent of [`Dmb::evict_one`]: class priority, oldest first,
-    /// skipping lines pinned by outstanding fills. The carryover list holds
-    /// candidates that were pinned on an earlier call; they positionally
-    /// precede everything left in the ring and are re-examined first, which
-    /// reproduces the real walk restarting from the class head.
-    fn span_evict_one(&mut self, span: &mut SpanState, now: u64, dram: &mut Dram) -> bool {
-        debug_assert!(span.armed, "victim search needs recency-ordered rings");
-        let no_inflight = self.mshr_live == 0;
-        let sig = self.mshr_sig;
-        for class in 0..3 {
-            let mut i = 0;
-            while i < span.classes[class].carryover.len() {
-                let e = span.classes[class].carryover[i];
-                if !span.entry_live(&e) {
-                    span.classes[class].carryover.remove(i);
-                    continue;
-                }
-                let addr = span.entry_addr(&e);
-                let pinned = !(no_inflight
-                    || sig & Self::sig_bit(addr) == 0
-                    || !self.mshrs.iter().any(|m| m.valid && m.addr == addr));
-                if pinned {
-                    i += 1;
-                    continue;
-                }
-                span.classes[class].carryover.remove(i);
-                self.span_evict_entry(span, &e, addr, now, dram);
-                return true;
-            }
-            while let Some(&e) = span.classes[class].ring.front() {
-                if !span.entry_live(&e) {
-                    span.classes[class].ring.pop_front();
-                    continue;
-                }
-                let addr = span.entry_addr(&e);
-                let pinned = !(no_inflight
-                    || sig & Self::sig_bit(addr) == 0
-                    || !self.mshrs.iter().any(|m| m.valid && m.addr == addr));
-                span.classes[class].ring.pop_front();
-                if pinned {
-                    span.classes[class].carryover.push(e);
-                    continue;
-                }
-                self.span_evict_entry(span, &e, addr, now, dram);
-                return true;
-            }
-        }
-        false
-    }
-
-    fn span_evict_entry(
-        &mut self,
-        span: &mut SpanState,
-        e: &SpanRingEntry,
-        addr: LineAddr,
-        now: u64,
-        dram: &mut Dram,
-    ) {
-        let dirty = if e.range == UNTRACKED {
-            let u = &mut span.untracked[e.line as usize];
-            u.removed = true;
-            u.dirty
-        } else {
-            let line = &mut span.ranges[e.range as usize].lines[e.line as usize];
-            line.tick = 0;
-            line.dirty
-        };
-        self.evictions += 1;
-        if dirty {
-            self.dirty_evictions += 1;
-            dram.write(now, addr.kind, self.line_bytes, AccessPattern::Random);
-        }
-        span.len -= 1;
-    }
-
-    /// [`Dmb::flush_kind`] on the span fast path. The generic path collects
-    /// residents of the kind and sorts by line index before writing back,
-    /// so only the *set* matters — each live line has exactly one live ring
-    /// entry, making the collection duplicate-free by construction.
-    fn span_flush_kind(&mut self, now: u64, kind: MatrixKind, dram: &mut Dram) -> u64 {
-        let mut span = self.span.take().expect("span dispatch");
-        let class = kind.evict_class() as usize;
-        let mut found: Vec<(u64, SpanRingEntry)> = Vec::new();
-        if span.armed {
-            let c = &span.classes[class];
-            for e in c.carryover.iter().chain(c.ring.iter()) {
-                if !span.entry_live(e) {
-                    continue;
-                }
-                let addr = span.entry_addr(e);
-                if addr.kind == kind {
-                    found.push((addr.index, *e));
-                }
-            }
-        } else {
-            // Unarmed markers may be dead or duplicated (dropped then
-            // re-inserted lines keep both); collect live residents of the
-            // kind — the index sort below also collapses duplicates — and
-            // compact the ring so repeated per-tile drains stay linear in
-            // live lines, not in span history.
-            let SpanState {
-                ranges,
-                untracked,
-                classes,
-                ..
-            } = &mut *span;
-            classes[class].ring.retain(|e| {
-                let (live, addr) = if e.range == UNTRACKED {
-                    let u = &untracked[e.line as usize];
-                    (!u.removed, u.addr)
-                } else {
-                    let r = &ranges[e.range as usize];
-                    (
-                        r.tick_of(e.line as usize) != 0,
-                        LineAddr::new(r.kind, r.base + e.line as u64),
-                    )
-                };
-                if live && addr.kind == kind {
-                    found.push((addr.index, *e));
-                    return false;
-                }
-                live
-            });
-        }
-        found.sort_unstable_by_key(|&(index, _)| index);
-        // Duplicate unarmed markers of one line collapse here (armed rings
-        // hold one live entry per line already, so this is then a no-op).
-        found.dedup_by_key(|&mut (index, _)| index);
-        let mut done = now;
-        for (_, e) in &found {
-            let dirty = if e.range == UNTRACKED {
-                let u = &mut span.untracked[e.line as usize];
-                u.removed = true;
-                u.dirty
-            } else {
-                let line = &mut span.ranges[e.range as usize].lines[e.line as usize];
-                line.tick = 0;
-                line.dirty
-            };
-            self.line_drops += 1;
-            span.len -= 1;
-            if dirty {
-                done = done.max(dram.write(done, kind, self.line_bytes, AccessPattern::Sequential));
-            }
-        }
-        self.span = Some(span);
-        done
-    }
-
-    /// [`Dmb::invalidate_kind`] on the span fast path (drop order is
-    /// unobservable: no writebacks, only removals and counters).
-    fn span_invalidate_kind(&mut self, kind: MatrixKind) {
-        let mut span = self.span.take().expect("span dispatch");
-        let class = kind.evict_class() as usize;
-        let mut dropped = 0usize;
-        if span.armed {
-            let c = &mut span.classes[class];
-            let ranges = &mut span.ranges;
-            let untracked = &mut span.untracked;
-            for e in c.carryover.iter().chain(c.ring.iter()) {
-                let (live, addr) = if e.range == UNTRACKED {
-                    let u = &untracked[e.line as usize];
-                    (!u.removed, u.addr)
-                } else {
-                    let r = &ranges[e.range as usize];
-                    (
-                        r.tick_of(e.line as usize) == e.tick,
-                        LineAddr::new(r.kind, r.base + e.line as u64),
-                    )
-                };
-                if !live || addr.kind != kind {
-                    continue;
-                }
-                if e.range == UNTRACKED {
-                    untracked[e.line as usize].removed = true;
-                } else {
-                    ranges[e.range as usize].lines[e.line as usize].tick = 0;
-                }
-                dropped += 1;
-            }
-        } else {
-            // Unarmed markers: a line is live iff its tick is nonzero, and
-            // marking it dead on the first of its duplicate markers makes
-            // the rest skip, so each line drops once. Compacting keeps
-            // repeated per-tile invalidations linear in live lines.
-            let SpanState {
-                ranges,
-                untracked,
-                classes,
-                ..
-            } = &mut *span;
-            classes[class].ring.retain(|e| {
-                let (live, addr) = if e.range == UNTRACKED {
-                    let u = &untracked[e.line as usize];
-                    (!u.removed, u.addr)
-                } else {
-                    let r = &ranges[e.range as usize];
-                    (
-                        r.tick_of(e.line as usize) != 0,
-                        LineAddr::new(r.kind, r.base + e.line as u64),
-                    )
-                };
-                if !live {
-                    return false;
-                }
-                if addr.kind != kind {
-                    return true;
-                }
-                if e.range == UNTRACKED {
-                    untracked[e.line as usize].removed = true;
-                } else {
-                    ranges[e.range as usize].lines[e.line as usize].tick = 0;
-                }
-                dropped += 1;
-                false
-            });
-        }
-        self.line_drops += dropped as u64;
-        span.len -= dropped;
-        self.span = Some(span);
     }
 
     /// Allocation fingerprint of the backing storage, for tests asserting
@@ -3669,304 +2643,5 @@ mod prefetch_tests {
             TraceKind::PrefetchDropped { .. }
         )));
         assert!(on_track(&|k| matches!(k, TraceKind::PrefetchFill { .. })));
-    }
-}
-
-#[cfg(test)]
-mod span_tests {
-    use super::*;
-    use rand::{Rng, SeedableRng};
-
-    fn small_config(lines: usize, mshrs: usize) -> MemConfig {
-        MemConfig {
-            dmb_bytes: lines * 64,
-            mshr_count: mshrs,
-            ..MemConfig::default()
-        }
-    }
-
-    /// A randomized op stream drawn from the declared ranges, applied to a
-    /// generic-path pair and a span-path pair in lockstep.
-    fn drive_differential(seed: u64, lines: usize, mshrs: usize) {
-        let cfg = small_config(lines, mshrs);
-        let mut dram_a = Dram::new(&cfg);
-        let mut dmb_a = Dmb::new(&cfg);
-        let mut dram_b = Dram::new(&cfg);
-        let mut dmb_b = Dmb::new(&cfg);
-        let ranges = [
-            SpanRange {
-                kind: MatrixKind::Weight,
-                base: 3,
-                len: 40,
-            },
-            SpanRange {
-                kind: MatrixKind::Combination,
-                base: 0,
-                len: 64,
-            },
-            SpanRange {
-                kind: MatrixKind::Output,
-                base: 100,
-                len: 48,
-            },
-        ];
-        // Pre-span traffic so the span opens on a warm, partially dirty
-        // buffer (both declared and undeclared lines resident).
-        let mut rng = rand_pcg::Pcg64::seed_from_u64(seed);
-        let mut now = 0u64;
-        for _ in 0..lines {
-            let r = &ranges[rng.gen_range(0..ranges.len())];
-            let a = LineAddr::new(r.kind, r.base + rng.gen_range(0..r.len));
-            if rng.gen_bool(0.4) {
-                let oa = dmb_a.write(now, a, &mut dram_a, true, AccessPattern::Random);
-                let ob = dmb_b.write(now, a, &mut dram_b, true, AccessPattern::Random);
-                assert_eq!(oa, ob);
-            } else {
-                let oa = dmb_a.read(now, a, &mut dram_a, AccessPattern::Random);
-                let ob = dmb_b.read(now, a, &mut dram_b, AccessPattern::Random);
-                assert_eq!(oa, ob);
-            }
-            now += rng.gen_range(0..4u64);
-        }
-        let undeclared = LineAddr::new(MatrixKind::SparseX, 7);
-        let oa = dmb_a.read(now, undeclared, &mut dram_a, AccessPattern::Random);
-        let ob = dmb_b.read(now, undeclared, &mut dram_b, AccessPattern::Random);
-        assert_eq!(oa, ob);
-
-        let pre = dmb_b.hit_stats();
-        assert!(dmb_b.begin_span(&ranges), "span must open");
-        assert!(dmb_b.span_active());
-        for step in 0..4000 {
-            let r = &ranges[rng.gen_range(0..ranges.len())];
-            let a = LineAddr::new(r.kind, r.base + rng.gen_range(0..r.len));
-            match rng.gen_range(0..100u32) {
-                0..=44 => {
-                    let oa = dmb_a.read(now, a, &mut dram_a, AccessPattern::Sequential);
-                    let ob = dmb_b.read(now, a, &mut dram_b, AccessPattern::Sequential);
-                    assert_eq!(oa, ob, "read step {step}");
-                }
-                45..=74 => {
-                    let oa = dmb_a.write(now, a, &mut dram_a, true, AccessPattern::Random);
-                    let ob = dmb_b.write(now, a, &mut dram_b, true, AccessPattern::Random);
-                    assert_eq!(oa, ob, "write-alloc step {step}");
-                }
-                75..=84 => {
-                    let oa = dmb_a.write(now, a, &mut dram_a, false, AccessPattern::Sequential);
-                    let ob = dmb_b.write(now, a, &mut dram_b, false, AccessPattern::Sequential);
-                    assert_eq!(oa, ob, "write-through step {step}");
-                }
-                85..=92 => {
-                    assert_eq!(dmb_a.contains(a), dmb_b.contains(a), "contains step {step}");
-                    assert_eq!(
-                        dmb_a.resident_lines(r.kind),
-                        dmb_b.resident_lines(r.kind),
-                        "resident step {step}"
-                    );
-                    assert_eq!(
-                        dmb_a.occupancy(),
-                        dmb_b.occupancy(),
-                        "occupancy step {step}"
-                    );
-                }
-                93..=96 => {
-                    let da = dmb_a.flush_kind(now, r.kind, &mut dram_a);
-                    let db = dmb_b.flush_kind(now, r.kind, &mut dram_b);
-                    assert_eq!(da, db, "flush step {step}");
-                }
-                _ => {
-                    dmb_a.invalidate_kind(r.kind);
-                    dmb_b.invalidate_kind(r.kind);
-                }
-            }
-            now += rng.gen_range(0..3u64);
-        }
-        dmb_b.end_span();
-        assert!(!dmb_b.span_active());
-
-        assert_eq!(dmb_a.hit_stats(), dmb_b.hit_stats());
-        assert_eq!(dmb_a.occupancy(), dmb_b.occupancy());
-        assert_eq!(dmb_a.evictions(), dmb_b.evictions());
-        assert_eq!(dmb_a.dirty_evictions(), dmb_b.dirty_evictions());
-        assert_eq!(dmb_a.line_fills(), dmb_b.line_fills());
-        assert_eq!(dmb_a.line_drops(), dmb_b.line_drops());
-        assert_eq!(dmb_a.mshr_merges(), dmb_b.mshr_merges());
-        assert_eq!(dmb_a.mshr_stalls(), dmb_b.mshr_stalls());
-        assert_eq!(dmb_a.mshr_stall_cycles(), dmb_b.mshr_stall_cycles());
-        assert_eq!(dmb_a.miss_latency_cycles(), dmb_b.miss_latency_cycles());
-        assert_eq!(dram_a.stats(), dram_b.stats());
-        // Every span-path access is one port grant, so scheduled+coalesced
-        // equals the hit-stat delta across the span.
-        let ev = dmb_b.take_events();
-        let post = dmb_b.hit_stats();
-        let delta = (post.read_hits + post.read_misses + post.write_hits + post.write_misses)
-            - (pre.read_hits + pre.read_misses + pre.write_hits + pre.write_misses);
-        assert_eq!(ev.events_scheduled + ev.events_coalesced, delta);
-
-        // Post-span generic traffic pins the materialised LRU order, dirty
-        // bits and fill timestamps: any divergence shows up as a different
-        // hit/evict/writeback pattern.
-        for _ in 0..3000 {
-            let r = &ranges[rng.gen_range(0..ranges.len())];
-            let a = LineAddr::new(r.kind, r.base + rng.gen_range(0..r.len));
-            if rng.gen_bool(0.3) {
-                let oa = dmb_a.write(now, a, &mut dram_a, true, AccessPattern::Random);
-                let ob = dmb_b.write(now, a, &mut dram_b, true, AccessPattern::Random);
-                assert_eq!(oa, ob);
-            } else {
-                let oa = dmb_a.read(now, a, &mut dram_a, AccessPattern::Random);
-                let ob = dmb_b.read(now, a, &mut dram_b, AccessPattern::Random);
-                assert_eq!(oa, ob);
-            }
-            now += rng.gen_range(0..4u64);
-        }
-        assert_eq!(dmb_a.hit_stats(), dmb_b.hit_stats());
-        assert_eq!(dram_a.stats(), dram_b.stats());
-    }
-
-    #[test]
-    fn span_path_is_bit_identical_small_buffer() {
-        // Heavy eviction pressure: working set far exceeds capacity.
-        for seed in 0..4 {
-            drive_differential(seed, 24, 4);
-        }
-    }
-
-    #[test]
-    fn span_path_is_bit_identical_medium_buffer() {
-        // Mixed hits and capacity misses, MSHR stalls included.
-        for seed in 10..13 {
-            drive_differential(seed, 96, 8);
-        }
-    }
-
-    #[test]
-    fn span_path_is_bit_identical_without_pressure() {
-        // Capacity far above the working set: the span never arms, so
-        // flushes, invalidations, probes, and materialisation all run on
-        // unarmed presence markers.
-        for seed in 20..23 {
-            drive_differential(seed, 4096, 8);
-        }
-    }
-
-    #[test]
-    fn span_bails_out_on_undeclared_address() {
-        let cfg = small_config(16, 4);
-        let mut dram_a = Dram::new(&cfg);
-        let mut dmb_a = Dmb::new(&cfg);
-        let mut dram_b = Dram::new(&cfg);
-        let mut dmb_b = Dmb::new(&cfg);
-        let ranges = [SpanRange {
-            kind: MatrixKind::Weight,
-            base: 0,
-            len: 8,
-        }];
-        assert!(dmb_b.begin_span(&ranges));
-        for i in 0..8 {
-            let a = LineAddr::new(MatrixKind::Weight, i);
-            let oa = dmb_a.read(i, a, &mut dram_a, AccessPattern::Sequential);
-            let ob = dmb_b.read(i, a, &mut dram_b, AccessPattern::Sequential);
-            assert_eq!(oa, ob);
-        }
-        // An address outside every declared range ends the span and lands on
-        // the generic path, bit-identically.
-        let stray = LineAddr::new(MatrixKind::SparseA, 99);
-        let oa = dmb_a.read(50, stray, &mut dram_a, AccessPattern::Random);
-        let ob = dmb_b.read(50, stray, &mut dram_b, AccessPattern::Random);
-        assert_eq!(oa, ob);
-        assert!(!dmb_b.span_active());
-        assert_eq!(dmb_a.hit_stats(), dmb_b.hit_stats());
-        assert_eq!(dram_a.stats(), dram_b.stats());
-    }
-
-    #[test]
-    fn span_scratch_is_recycled_across_spans() {
-        let cfg = small_config(16, 4);
-        let mut dram = Dram::new(&cfg);
-        let mut dmb = Dmb::new(&cfg);
-        let w = |base, len| SpanRange {
-            kind: MatrixKind::Weight,
-            base,
-            len,
-        };
-        assert!(dmb.begin_span(&[w(0, 8)]));
-        for i in 0..8 {
-            let a = LineAddr::new(MatrixKind::Weight, i);
-            dmb.read(i, a, &mut dram, AccessPattern::Sequential);
-        }
-        dmb.end_span();
-        assert!(dmb.span_spare.is_some(), "closed span must park its state");
-        assert_eq!(dmb.span_line_pool.len(), 1);
-
-        // The next span consumes the parked scratch; a two-range span pulls
-        // one pooled line table and allocates the second.
-        assert!(dmb.begin_span(&[w(0, 4), w(8, 4)]));
-        assert!(dmb.span_spare.is_none());
-        assert!(dmb.span_line_pool.is_empty());
-        let a = LineAddr::new(MatrixKind::Weight, 2);
-        let hit = dmb.read(100, a, &mut dram, AccessPattern::Sequential);
-        assert!(hit.hit, "lines from the first span stay resident");
-        dmb.end_span();
-        assert_eq!(dmb.span_line_pool.len(), 2);
-    }
-
-    #[test]
-    fn span_refuses_illegal_conditions() {
-        let cfg = small_config(16, 4);
-        let mut dmb = Dmb::new(&cfg);
-        let w = |base, len| SpanRange {
-            kind: MatrixKind::Weight,
-            base,
-            len,
-        };
-        assert!(!dmb.begin_span(&[w(0, 0)]), "zero-length range");
-        assert!(!dmb.begin_span(&[w(0, 8), w(4, 8)]), "overlapping ranges");
-        assert!(
-            dmb.begin_span(&[w(0, 8), w(8, 8)]),
-            "adjacent ranges are fine"
-        );
-        assert!(!dmb.begin_span(&[w(100, 8)]), "nested spans refused");
-        dmb.end_span();
-
-        let traced = MemConfig {
-            trace: true,
-            ..small_config(16, 4)
-        };
-        let mut dmb = Dmb::new(&traced);
-        assert!(!dmb.begin_span(&[w(0, 8)]), "tracing forbids spans");
-
-        let plain_lru = MemConfig {
-            class_eviction: false,
-            ..small_config(16, 4)
-        };
-        let mut dmb = Dmb::new(&plain_lru);
-        assert!(!dmb.begin_span(&[w(0, 8)]), "plain LRU forbids spans");
-    }
-
-    #[test]
-    fn event_stats_account_for_port_time() {
-        let cfg = small_config(64, 8);
-        let mut dram = Dram::new(&cfg);
-        let mut dmb = Dmb::new(&cfg);
-        let ranges = [SpanRange {
-            kind: MatrixKind::Combination,
-            base: 0,
-            len: 32,
-        }];
-        assert!(dmb.begin_span(&ranges));
-        let mut now = 0;
-        for i in 0..32u64 {
-            let a = LineAddr::new(MatrixKind::Combination, i);
-            let o = dmb.read(now, a, &mut dram, AccessPattern::Sequential);
-            // Leave deliberate idle gaps: those port cycles are never
-            // simulated, and the span books them as skipped.
-            now = o.ready + 10;
-        }
-        dmb.end_span();
-        let ev = dmb.take_events();
-        assert_eq!(ev.events_scheduled + ev.events_coalesced, 32);
-        assert!(ev.cycles_skipped > 0, "idle gaps must be booked as skipped");
-        // Drained: a second take is empty.
-        assert_eq!(dmb.take_events(), EventStats::default());
     }
 }

@@ -135,13 +135,6 @@ impl Dram {
         self.channel_busy.iter().copied().max().unwrap_or(0)
     }
 
-    /// Wake-time contract of the event-driven core: the earliest cycle at
-    /// which a channel frees up (a queued request issued then starts with no
-    /// channel wait). All channels idle yields 0 — "ready whenever".
-    pub fn next_event_cycle(&self) -> u64 {
-        self.channel_busy.iter().copied().min().unwrap_or(0)
-    }
-
     /// Whether every channel is still busy at cycle `now` — a request issued
     /// now could not start immediately. The zero-slack special case of
     /// [`Dram::backlogged`].

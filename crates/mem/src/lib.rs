@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use address::{LineAddr, MatrixKind};
 pub use config::MemConfig;
-pub use dmb::{Dmb, EventStats, SpanRange};
+pub use dmb::Dmb;
 pub use dram::Dram;
 pub use lsq::Lsq;
 pub use metrics::{MetricKind, MetricsConfig, MetricsData, MetricsRegistry, MetricsSample};

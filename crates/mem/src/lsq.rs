@@ -217,18 +217,6 @@ impl Lsq {
         }
     }
 
-    /// Span entry hook of the event-driven core. Deliberately a no-op: the
-    /// forward index is already O(1) per probe, and measurement showed that
-    /// deferring its maintenance into the span (probing by reverse queue
-    /// scan instead) loses badly in store-heavy phases — the OP materialize
-    /// merge pass queues same-kind stores that never match, turning every
-    /// load probe into a full-queue scan. Kept as an explicit hook so the
-    /// machine's span protocol stays uniform across components.
-    pub fn begin_span(&mut self) {}
-
-    /// Span exit hook; no-op — see [`Lsq::begin_span`].
-    pub fn end_span(&mut self) {}
-
     /// Makes room for a new entry; returns the (possibly stalled) admission
     /// cycle.
     fn admit(&mut self, now: u64) -> u64 {
@@ -328,14 +316,6 @@ impl Lsq {
             return false;
         }
         self.forwards.youngest_store(addr).is_some()
-    }
-
-    /// Wake-time contract of the event-driven core: the earliest future
-    /// cycle at which this component's state changes on its own — the ready
-    /// cycle of the oldest entry (the next retirement a full queue would
-    /// wait on), or `u64::MAX` when the queue is empty.
-    pub fn next_event_cycle(&self) -> u64 {
-        self.entries.front().map_or(u64::MAX, |e| e.ready)
     }
 
     /// Current occupancy.
@@ -523,52 +503,6 @@ mod tests {
         // The probe admits nothing: occupancy and stats are untouched.
         assert_eq!(q.occupancy(), 1);
         assert_eq!(q.stats().loads, 0);
-    }
-
-    /// The span hooks are documented no-ops: driving the same operation
-    /// sequence with and without them must be bit-identical (this pins the
-    /// contract the machine's span protocol relies on).
-    #[test]
-    fn span_hooks_do_not_change_behaviour() {
-        let run = |span: bool| {
-            let mut q = lsq(4);
-            if span {
-                q.begin_span();
-            }
-            let mut log = Vec::new();
-            // Mixed stores/loads with duplicates and capacity pressure.
-            for i in 0..12u64 {
-                log.push(q.store(i, a(i % 3), i + 10));
-            }
-            for i in 0..12u64 {
-                match q.load(20 + i, a(i % 5)) {
-                    LoadPath::Forwarded { ready } => log.push(ready),
-                    LoadPath::Issue { at } => {
-                        q.complete_load(a(i % 5), at + 7);
-                        log.push(at);
-                    }
-                }
-            }
-            log.push(q.has_queued_store(a(1)) as u64);
-            if span {
-                q.end_span();
-            }
-            match q.load(100, a(2)) {
-                LoadPath::Forwarded { ready } => log.push(ready),
-                LoadPath::Issue { at } => log.push(at),
-            }
-            (log, q.stats(), q.occupancy())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn next_event_cycle_tracks_oldest_entry() {
-        let mut q = lsq(4);
-        assert_eq!(q.next_event_cycle(), u64::MAX);
-        q.store(0, a(0), 42);
-        q.store(0, a(1), 17);
-        assert_eq!(q.next_event_cycle(), 42);
     }
 
     #[test]

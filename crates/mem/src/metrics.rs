@@ -32,8 +32,9 @@ pub const MAX_SAMPLED_CHANNELS: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Interval between samples in cycles. The sampler emits one sample
-    /// per elapsed interval; under the event scheduler several intervals
-    /// may be emitted at once from counter deltas (back-filling).
+    /// per elapsed interval; when one transaction crosses several
+    /// boundaries, several intervals are emitted at once from counter
+    /// deltas (back-filling).
     pub sample_every: u64,
     /// Ring capacity in samples. Oldest samples are dropped (and counted)
     /// once the ring fills.
@@ -75,7 +76,7 @@ pub struct MetricsSample {
     /// Live MSHRs at the boundary.
     pub mshr_occupancy: u32,
     /// Per-channel DRAM busy fraction over the interval (may transiently
-    /// exceed 1.0 under lazy event-mode sampling — see DESIGN.md §14).
+    /// exceed 1.0 under lazy sampling — see DESIGN.md §14).
     pub dram_busy_frac: [f32; MAX_SAMPLED_CHANNELS],
     /// DRAM channels actually present (how many `dram_busy_frac` slots are
     /// meaningful).
@@ -729,29 +730,5 @@ mod tests {
         assert!(!valid_metric_name("9starts_with_digit"));
         assert!(!valid_metric_name("has-dash"));
         assert!(!valid_metric_name(""));
-    }
-
-    #[test]
-    fn event_stats_merge_accumulates_every_field() {
-        // Satellite coverage: EventStats::merge is exercised end-to-end by
-        // the suite but had no direct unit pin.
-        let mut a = crate::EventStats {
-            events_scheduled: 3,
-            events_coalesced: 1,
-            cycles_skipped: 100,
-        };
-        let b = crate::EventStats {
-            events_scheduled: 4,
-            events_coalesced: 2,
-            cycles_skipped: 50,
-        };
-        a.merge(&b);
-        assert_eq!(a.events_scheduled, 7);
-        assert_eq!(a.events_coalesced, 3);
-        assert_eq!(a.cycles_skipped, 150);
-        assert_eq!(a.events(), 10, "events() totals scheduled + coalesced");
-        let mut zero = crate::EventStats::default();
-        zero.merge(&crate::EventStats::default());
-        assert_eq!(zero, crate::EventStats::default());
     }
 }

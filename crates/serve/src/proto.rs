@@ -12,7 +12,7 @@
 //! byte-identical bodies, whether simulated, coalesced or re-run.
 
 use hymm_bench::json::{esc, fmt_num, Json};
-use hymm_core::config::{combine_hashes, AcceleratorConfig, Dataflow, MergePolicy, SchedulerKind};
+use hymm_core::config::{combine_hashes, AcceleratorConfig, Dataflow, MergePolicy};
 use hymm_core::stats::{SimReport, StallBreakdown};
 use hymm_graph::datasets::{Dataset, DatasetSpec};
 use hymm_mem::PrefetchPolicy;
@@ -35,7 +35,7 @@ impl SimRequest {
     /// The dedupe/cache key: graph-spec hash composed with the
     /// architectural config hash and the dataflow. Two requests with equal
     /// keys produce bit-identical responses (host-only knobs like the
-    /// scheduler are excluded from `AcceleratorConfig::content_hash`
+    /// audit flag are excluded from `AcceleratorConfig::content_hash`
     /// precisely because they cannot change results).
     pub fn key(&self) -> u64 {
         let dataflow_tag = Dataflow::EXTENDED
@@ -60,6 +60,16 @@ fn field_u64(v: &Json, field: &str) -> Result<u64, String> {
     match v.as_f64() {
         Some(n) if n >= 0.0 && n.fract() == 0.0 && n < 9.0e15 => Ok(n as u64),
         _ => Err(format!("field {field:?} must be a non-negative integer")),
+    }
+}
+
+/// A count that must be at least 1. Zero is refused by name rather than
+/// quietly turned into 1, which would answer for a machine the caller did
+/// not ask for.
+fn field_positive(v: &Json, field: &str) -> Result<u64, String> {
+    match field_u64(v, field)? {
+        0 => Err(format!("field {field:?} must be at least 1")),
+        n => Ok(n),
     }
 }
 
@@ -117,8 +127,8 @@ pub fn parse_request(doc: &Json, audit: bool) -> Result<SimRequest, String> {
                 scale = Some(n as usize);
             }
             "dataflow" => dataflow_label = Some(field_str(v, k)?.to_string()),
-            "pe_lanes" => config.num_pes = field_u64(v, k)?.max(1) as usize,
-            "mac_latency" => config.mac_latency = field_u64(v, k)?.max(1),
+            "pe_lanes" => config.num_pes = field_positive(v, k)? as usize,
+            "mac_latency" => config.mac_latency = field_positive(v, k)?,
             "mac_pipeline" => config.mac_pipelined = field_bool(v, k)?,
             "lane_gating" => config.lane_gating = field_bool(v, k)?,
             "tiling_fraction" => {
@@ -134,13 +144,8 @@ pub fn parse_request(doc: &Json, audit: bool) -> Result<SimRequest, String> {
                     format!("unknown prefetch policy {name:?} (off, next-line, smq-stream)")
                 })?;
             }
-            "prefetch_degree" => config.mem.prefetch_degree = field_u64(v, k)?.max(1) as usize,
-            "prefetch_mshr_cap" => config.mem.prefetch_mshr_cap = field_u64(v, k)?.max(1) as usize,
-            "scheduler" => {
-                let name = field_str(v, k)?;
-                config.scheduler = SchedulerKind::parse(name)
-                    .ok_or_else(|| format!("unknown scheduler {name:?} (stepped, event)"))?;
-            }
+            "prefetch_degree" => config.mem.prefetch_degree = field_positive(v, k)? as usize,
+            "prefetch_mshr_cap" => config.mem.prefetch_mshr_cap = field_positive(v, k)? as usize,
             other => return Err(format!("unknown field {other:?}")),
         }
     }
@@ -236,7 +241,7 @@ mod tests {
             r#"{"dataset": "ap", "scale": 500, "dataflow": "OP", "preset": "tuned",
                 "pe_lanes": 32, "mac_latency": 2, "mac_pipeline": true,
                 "lane_gating": true, "prefetch": "next-line", "prefetch_degree": 2,
-                "scheduler": "stepped"}"#,
+                "prefetch_mshr_cap": 3}"#,
         )
         .unwrap();
         assert_eq!(req.spec.dataset, Dataset::AmazonPhoto);
@@ -246,7 +251,8 @@ mod tests {
         assert_eq!(req.config.mac_latency, 2);
         assert!(req.config.mac_pipelined);
         assert!(req.config.lane_gating);
-        assert_eq!(req.config.scheduler, SchedulerKind::Stepped);
+        assert_eq!(req.config.mem.prefetch_degree, 2);
+        assert_eq!(req.config.mem.prefetch_mshr_cap, 3);
     }
 
     #[test]
@@ -268,6 +274,27 @@ mod tests {
                 "unknown dataflow",
             ),
             (r#"{"dataset": "CR", "typo_knob": 1}"#, "unknown field"),
+            // One simulation core: the old selector is an unknown field.
+            (
+                r#"{"dataset": "CR", "scheduler": "stepped"}"#,
+                "unknown field \"scheduler\"",
+            ),
+            (
+                r#"{"dataset": "CR", "pe_lanes": 0}"#,
+                "field \"pe_lanes\" must be at least 1",
+            ),
+            (
+                r#"{"dataset": "CR", "mac_latency": 0}"#,
+                "field \"mac_latency\" must be at least 1",
+            ),
+            (
+                r#"{"dataset": "CR", "prefetch_degree": 0}"#,
+                "field \"prefetch_degree\" must be at least 1",
+            ),
+            (
+                r#"{"dataset": "CR", "prefetch_mshr_cap": 0}"#,
+                "field \"prefetch_mshr_cap\" must be at least 1",
+            ),
             (r#"{"dataset": "CR", "scale": 1}"#, "at least 2"),
             (r#"{"dataset": "CR", "preset": "huge"}"#, "unknown preset"),
             (
@@ -316,10 +343,8 @@ mod tests {
         ] {
             assert_ne!(base.key(), parse(other).unwrap().key(), "{other}");
         }
-        // Host-only knobs (scheduler, audit) do not move the key: they are
-        // pinned result-identical, so coalescing across them is sound.
-        let sched = parse(r#"{"dataset": "CR", "scheduler": "stepped"}"#).unwrap();
-        assert_eq!(base.key(), sched.key());
+        // The host-only audit knob does not move the key: it is pinned
+        // result-identical, so coalescing across it is sound.
         let audited = parse_request(&parse_json(r#"{"dataset": "CR"}"#).unwrap(), true).unwrap();
         assert_eq!(base.key(), audited.key());
     }

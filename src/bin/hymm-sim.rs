@@ -12,7 +12,7 @@
 //! utilisation, DMB hit rate, DRAM breakdown, phase timeline and energy
 //! estimate.
 
-use hymm::core::config::{AcceleratorConfig, Dataflow, SchedulerKind};
+use hymm::core::config::{AcceleratorConfig, Dataflow};
 use hymm::core::energy::EnergyModel;
 use hymm::gcn::{run_inference, GcnModel};
 use hymm::graph::datasets::Dataset;
@@ -41,7 +41,6 @@ options:
   --dmb-kb <N>         dense matrix buffer capacity in KB [default: 256]
   --mshrs <N>          MSHR count [default: 32]
   --no-forwarding      disable LSQ store-to-load forwarding
-  --scheduler <stepped|event>        simulation core [default: event]
   --tiling <F>         hybrid tiling fraction [default: 0.20]
   --seed <N>           workload seed [default: 42]
   -h, --help           print this text
@@ -59,7 +58,6 @@ struct Options {
     dmb_kb: usize,
     mshrs: usize,
     forwarding: bool,
-    scheduler: SchedulerKind,
     tiling: f64,
     seed: u64,
 }
@@ -78,7 +76,6 @@ impl Default for Options {
             dmb_kb: 256,
             mshrs: 32,
             forwarding: true,
-            scheduler: SchedulerKind::Event,
             tiling: 0.20,
             seed: 42,
         }
@@ -151,11 +148,6 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|_| fail("bad --mshrs"))
             }
             "--no-forwarding" => opt.forwarding = false,
-            "--scheduler" => {
-                let v = value("--scheduler");
-                opt.scheduler = SchedulerKind::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown scheduler {v:?}")));
-            }
             "--tiling" => {
                 opt.tiling = value("--tiling")
                     .parse()
@@ -229,7 +221,6 @@ fn main() {
         .prefetch_mshr_cap
         .min(opt.mshrs.saturating_sub(1));
     config.lsq_forwarding = opt.forwarding;
-    config.scheduler = opt.scheduler;
     config.tiling_fraction = opt.tiling;
 
     let model = GcnModel::two_layer(feature_len, opt.hidden, opt.hidden, opt.seed);

@@ -9,16 +9,15 @@
 //! 2. **Sampling is observation-only** — enabling the sampler changes
 //!    nothing about the simulated timing; the report is bit-identical apart
 //!    from carrying the series.
-//! 3. **Series are scheduler-independent** — the event core's lazily
-//!    back-filled samples are bit-identical to the stepped core's, every
-//!    timestamp and every gauge.
+//! 3. **Series are reproducible** — two sampled runs of the same workload
+//!    carry bit-identical series, every timestamp and every gauge.
 //! 4. **Accounting is exact** — per-interval stall-class deltas sum to the
 //!    end-of-run waterfall totals exactly (when the ring never overflowed),
 //!    across dataflows, sampling intervals and random workloads; the
 //!    `--audit` layer enforces the same invariant per layer.
 
 use hymm::core::audit;
-use hymm::core::config::{AcceleratorConfig, Dataflow, SchedulerKind};
+use hymm::core::config::{AcceleratorConfig, Dataflow};
 use hymm::gcn::{run_inference, GcnModel};
 use hymm::graph::features::sparse_features;
 use hymm::graph::generator::preferential_attachment;
@@ -91,30 +90,34 @@ fn sampling_is_observation_only() {
     }
 }
 
-/// Metrics on/off × stepped/event bit-identity: under both cores the
-/// sampler is observation-only, and the sampled reports — every series
-/// timestamp, every gauge, every stall delta — are identical between the
-/// two cores (the event core back-fills skipped intervals from counter
-/// deltas at its wake boundaries; DESIGN.md §14 argues why that lands on
-/// the same values the stepped core observes live).
+/// Metrics on/off bit-identity plus series reproducibility: two sampled
+/// runs return identical reports — every series timestamp, every gauge,
+/// every stall delta — and, with the series taken off, both equal the
+/// unsampled report.
 #[test]
-fn series_are_bit_identical_between_cores() {
+fn series_are_bit_identical_across_runs() {
     let (adj, x, model) = fixture();
     for df in Dataflow::EXTENDED {
+        let plain = run_inference(&AcceleratorConfig::default(), df, &adj, &x, &model)
+            .unwrap()
+            .report;
         let mut reports = Vec::with_capacity(2);
-        for scheduler in [SchedulerKind::Stepped, SchedulerKind::Event] {
-            let mut config = metrics_config(1024);
-            config.scheduler = scheduler;
+        for _ in 0..2 {
+            let config = metrics_config(1024);
             reports.push(run_inference(&config, df, &adj, &x, &model).unwrap().report);
         }
-        let [stepped, event] = reports.try_into().unwrap();
-        assert!(stepped.metrics.is_some(), "{}", df.label());
+        let [mut first, mut second] = reports.try_into().unwrap();
+        assert!(first.metrics.is_some(), "{}", df.label());
         assert_eq!(
-            stepped,
-            event,
-            "{}: sampled reports (incl. every sample) diverged between cores",
+            first,
+            second,
+            "{}: sampled reports (incl. every sample) diverged between runs",
             df.label()
         );
+        first.metrics = None;
+        second.metrics = None;
+        assert_eq!(first, plain, "{}: sampling moved a cycle", df.label());
+        assert_eq!(second, plain, "{}: sampling moved a cycle", df.label());
     }
 }
 
@@ -153,10 +156,10 @@ proptest! {
     // Each case simulates two full GCN layers; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Accounting stays exact on random workloads, sampling intervals and
-    // schedulers — including intervals far longer than any phase (all
-    // backfill) and far shorter than a DMB miss (dense boundaries). The
-    // merged two-layer report's series must sum to the merged waterfall.
+    // Accounting stays exact on random workloads and sampling intervals —
+    // including intervals far longer than any phase (all backfill) and far
+    // shorter than a DMB miss (dense boundaries). The merged two-layer
+    // report's series must sum to the merged waterfall.
     #[test]
     fn accounting_is_exact_on_random_workloads(
         nodes in 24..56usize,
@@ -165,16 +168,12 @@ proptest! {
         // Mostly ordinary intervals, occasionally one longer than any run
         // (a single all-backfill closing sample).
         sample_every in (1..8192u64).prop_map(|v| if v % 7 == 0 { 1 << 20 } else { v }),
-        event_core in (0..2u8).prop_map(|v| v == 1),
     ) {
         let adj = preferential_attachment(nodes, edges, seed);
         let x = sparse_features(nodes, 10, 0.5, seed.wrapping_add(1));
         let model = GcnModel::two_layer(10, 12, 4, 3);
         let mut config = metrics_config(sample_every);
         config.audit = true;
-        if event_core {
-            config.scheduler = SchedulerKind::Event;
-        }
         for df in [Dataflow::Outer, Dataflow::Hybrid] {
             let report = run_inference(&config, df, &adj, &x, &model).unwrap().report;
             let metrics = report.metrics.as_deref().expect("metrics on");

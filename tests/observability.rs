@@ -1,6 +1,6 @@
 //! Observability-layer integration tests.
 //!
-//! Three guarantees, across every dataflow:
+//! Four guarantees, across every dataflow:
 //!
 //! 1. **Stall attribution is exhaustive** — the per-class breakdown sums
 //!    exactly to the cycle total, per phase and per report (the same
@@ -10,15 +10,12 @@
 //!    from carrying the trace.
 //! 3. **Traces are well-formed** — clock-domain tracks are time-ordered and
 //!    phase begin/end markers pair up.
-//! 4. **Traces are scheduler-independent** — the event core's traces carry
-//!    timestamps bit-identical to the stepped core's (a skipped span may
-//!    never create a gap or reordering in any track). The event core
-//!    guarantees this by construction: `begin_span` refuses to open while
-//!    tracing is live, so a traced run takes the generic per-access path
-//!    whose instrumentation is shared with the stepped core.
+//! 4. **Traces are reproducible** — two traced runs of the same workload
+//!    carry bit-identical traces, every timestamp included, and the same
+//!    cycles as the untraced run.
 
 use hymm_core::audit;
-use hymm_core::config::{AcceleratorConfig, Dataflow, SchedulerKind};
+use hymm_core::config::{AcceleratorConfig, Dataflow};
 use hymm_core::trace::{TraceData, TraceKind, Track};
 use hymm_gcn::inference::run_inference;
 use hymm_gcn::model::GcnModel;
@@ -181,57 +178,38 @@ fn phase_markers_pair_up() {
     }
 }
 
-/// Trace on/off × stepped/event bit-identity: under both cores, tracing is
-/// observation-only, and the traced reports — every timestamp, duration,
-/// track ordering and drop count — are identical between the two cores.
-/// The event core must also have refused every span while the tracer was
-/// live (spans elide the per-access bookkeeping the trace hooks live in).
+/// Trace on/off cycle identity plus trace reproducibility: two traced runs
+/// return identical reports — every timestamp, duration, track ordering
+/// and drop count — and, with the trace taken off, both equal the untraced
+/// report.
 #[test]
-fn traces_are_bit_identical_between_cores() {
+fn traces_are_bit_identical_across_runs() {
     let (adj, x, model) = fixture();
     for df in Dataflow::EXTENDED {
-        let mut outcomes = Vec::with_capacity(4);
-        for scheduler in [SchedulerKind::Stepped, SchedulerKind::Event] {
-            for trace in [false, true] {
-                let mut config = if trace {
-                    traced_config()
-                } else {
-                    AcceleratorConfig::default()
-                };
-                config.scheduler = scheduler;
-                outcomes.push(run_inference(&config, df, &adj, &x, &model).unwrap());
-            }
-        }
-        let [stepped, stepped_traced, event, event_traced] = outcomes.try_into().unwrap();
-        assert_eq!(
-            stepped.report,
-            event.report,
-            "{}: untraced reports diverged between cores",
-            df.label()
-        );
-        assert_eq!(
-            stepped_traced.report,
-            event_traced.report,
-            "{}: traced reports (incl. every timestamp) diverged between cores",
-            df.label()
-        );
+        let plain = run_inference(&AcceleratorConfig::default(), df, &adj, &x, &model)
+            .unwrap()
+            .report;
+        let mut first = run_inference(&traced_config(), df, &adj, &x, &model)
+            .unwrap()
+            .report;
+        let mut second = run_inference(&traced_config(), df, &adj, &x, &model)
+            .unwrap()
+            .report;
         assert!(
-            event_traced.report.trace.is_some(),
+            first.trace.is_some(),
             "{}: tracing on returned no trace",
             df.label()
         );
         assert_eq!(
-            event_traced.events,
-            hymm_mem::EventStats::default(),
-            "{}: spans must be refused while tracing is live",
+            first,
+            second,
+            "{}: traced reports (incl. every timestamp) diverged between runs",
             df.label()
         );
-        assert_eq!(
-            stepped.events,
-            hymm_mem::EventStats::default(),
-            "{}: the stepped core must never open spans",
-            df.label()
-        );
+        first.trace = None;
+        second.trace = None;
+        assert_eq!(first, plain, "{}: tracing moved a cycle", df.label());
+        assert_eq!(second, plain, "{}: tracing moved a cycle", df.label());
     }
 }
 
