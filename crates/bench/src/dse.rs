@@ -897,8 +897,8 @@ impl DseOutcome {
         out
     }
 
-    /// The run as a JSON object (embedded in `BENCH_host.json` by
-    /// `perf_report`).
+    /// The run as a JSON object (embedded in `BENCH_cycles.json` by
+    /// `cycle_report`).
     pub fn to_json(&self) -> String {
         let fronts: Vec<String> = self
             .fronts

@@ -2,10 +2,10 @@
 //!
 //! The workspace has no crates.io access, so every JSON producer and
 //! consumer — the Chrome-trace writer/validator ([`crate::trace_json`]),
-//! the metrics sidecar checker ([`crate::metrics_json`]), the
-//! perf-regression gate ([`crate::perf_diff`]) and the `hymm-serve`
-//! request/response protocol — funnels through this one hand-rolled
-//! reader/writer instead of growing per-module dialects.
+//! the metrics sidecar checker ([`crate::metrics_json`]), the `hymm-serve`
+//! request/response protocol and the repo benchmark's results files —
+//! funnels through this one hand-rolled reader/writer instead of growing
+//! per-module dialects.
 //!
 //! The reader is strict where it matters for round-tripping (complete
 //! documents only, finite numbers, no raw control characters in strings)
@@ -58,20 +58,9 @@ impl Json {
         }
     }
 
-    /// Replaces the value under `key` (or appends the pair) on an object.
-    /// No-op on non-objects.
-    pub fn set(&mut self, key: &str, value: Json) {
-        if let Json::Obj(fields) = self {
-            match fields.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = value,
-                None => fields.push((key.to_string(), value)),
-            }
-        }
-    }
-
     /// Renders the value back to compact JSON (`"key": value` with a space
-    /// after each colon, matching the hand-written style of BENCH_host.json
-    /// so spliced sections stay greppable).
+    /// after each colon, matching the hand-written exporters so the output
+    /// stays greppable).
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -351,15 +340,6 @@ mod tests {
         assert_eq!(doc.get("b").and_then(Json::as_bool), Some(false));
         assert_eq!(doc.get("missing"), None);
         assert_eq!(doc.get("n").and_then(Json::as_str), None);
-    }
-
-    #[test]
-    fn set_replaces_and_appends() {
-        let mut doc = parse_json(r#"{"a": 1}"#).unwrap();
-        doc.set("a", Json::Num(2.0));
-        doc.set("b", Json::Str("new".into()));
-        assert_eq!(doc.get("a").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(doc.get("b").and_then(Json::as_str), Some("new"));
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod json;
 pub mod log;
 pub mod metrics_json;
 pub mod pe_sweep;
-pub mod perf_diff;
 pub mod pool;
 pub mod runner;
 pub mod table;

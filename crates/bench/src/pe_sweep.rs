@@ -175,7 +175,7 @@ pub fn render(rows: &[PeSweepRow]) -> String {
     )
 }
 
-/// Serialises the sweep as a JSON object for `BENCH_host.json`.
+/// Serialises the sweep as a JSON object for `BENCH_cycles.json`.
 pub fn to_json(rows: &[PeSweepRow]) -> String {
     let gating = rows.first().is_some_and(|r| r.gating);
     let pipelined = rows.first().is_some_and(|r| r.pipelined);

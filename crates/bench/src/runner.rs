@@ -264,7 +264,7 @@ pub fn run_suite(args: &BenchArgs) -> Vec<DatasetResults> {
 
 /// True when two suite results carry bit-identical simulation outcomes
 /// (same datasets, labels, and full [`SimReport`]s) — the invariance check
-/// shared by `perf_report` and the `pe_sweep` baseline assertion.
+/// shared by `cycle_report` and the `pe_sweep` baseline assertion.
 pub fn results_match(a: &[DatasetResults], b: &[DatasetResults]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {

@@ -5,15 +5,15 @@
 //! loadgen --addr HOST:PORT [--mode closed|open] [--rate RPS]
 //!         [--concurrency N] [--requests N] [--datasets CR,AP,...]
 //!         [--dataflows HyMM,OP,...] [--scale N] [--skew P] [--seed N]
-//!         [--warm-reps N] [--check] [--bench-out PATH] [--shutdown]
-//!         [--quiet | -v]
+//!         [--warm-reps N] [--check] [--shutdown] [--quiet | -v]
 //! ```
 //!
 //! `--check` additionally scrapes `/metrics` (validated with the shared
 //! Prometheus checker) and `/stats` (validated with the shared JSON
-//! parser), failing the process on any malformed output. `--bench-out`
-//! merges the measured `serve` section into a BENCH_host.json.
-//! `--shutdown` asks the server to drain afterwards.
+//! parser), failing the process on any malformed output. `--shutdown`
+//! asks the server to drain afterwards. The printed numbers are for
+//! interactive use; serve latency is measured by the repo benchmark's
+//! `serve-open` workload (`benchmark/README.md`).
 
 use hymm_bench::json::Json;
 use hymm_graph::datasets::Dataset;
@@ -24,8 +24,7 @@ fn usage() -> ! {
         "usage: loadgen --addr HOST:PORT [--mode closed|open] [--rate RPS]\n\
          \x20              [--concurrency N] [--requests N] [--datasets CR,AP,...]\n\
          \x20              [--dataflows HyMM,OP,...] [--scale N] [--skew P] [--seed N]\n\
-         \x20              [--warm-reps N] [--check] [--bench-out PATH] [--shutdown]\n\
-         \x20              [--quiet | -v]"
+         \x20              [--warm-reps N] [--check] [--shutdown] [--quiet | -v]"
     );
     std::process::exit(2);
 }
@@ -38,7 +37,6 @@ fn fatal(msg: &str) -> ! {
 struct Flags {
     config: LoadgenConfig,
     check: bool,
-    bench_out: Option<String>,
     shutdown: bool,
 }
 
@@ -47,7 +45,6 @@ fn parse_flags() -> Flags {
     let mut mode_name = "closed".to_string();
     let mut rate = 50.0;
     let mut check = false;
-    let mut bench_out = None;
     let mut shutdown = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -85,7 +82,6 @@ fn parse_flags() -> Flags {
             "--seed" => config.seed = parse_num(&value("--seed"), "--seed") as u64,
             "--warm-reps" => config.warm_reps = parse_num(&value("--warm-reps"), "--warm-reps"),
             "--check" => check = true,
-            "--bench-out" => bench_out = Some(value("--bench-out")),
             "--shutdown" => shutdown = true,
             "--quiet" => hymm_bench::log::set_level(hymm_bench::log::Level::Quiet),
             "-v" | "--verbose" => hymm_bench::log::set_level(hymm_bench::log::Level::Verbose),
@@ -104,7 +100,6 @@ fn parse_flags() -> Flags {
     Flags {
         config,
         check,
-        bench_out,
         shutdown,
     }
 }
@@ -201,15 +196,6 @@ fn main() {
         if let Err(e) = check_scrapes(&flags.config.addr) {
             eprintln!("loadgen: check failed: {e}");
             failed = true;
-        }
-    }
-    if let Some(path) = &flags.bench_out {
-        match loadgen::merge_into_bench(path, &report) {
-            Ok(()) => println!("bench section written to {path}"),
-            Err(e) => {
-                eprintln!("loadgen: bench-out failed: {e}");
-                failed = true;
-            }
         }
     }
     if flags.shutdown {

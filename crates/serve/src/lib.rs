@@ -22,8 +22,9 @@
 //!   [`hymm_core::metrics::registry_from_report`]), `/stats`, `/healthz`,
 //!   graceful drain on SIGTERM/ctrl-c;
 //! - [`loadgen`] — open-/closed-loop load generator with key skew,
-//!   latency percentiles and the cold-vs-warm amortisation measurement
-//!   recorded into BENCH_host.json's `serve` section.
+//!   latency percentiles and the cold-vs-warm amortisation measurement;
+//!   its `Conn` and `scrape_stats` also drive the repo benchmark's
+//!   `serve-open` workload.
 //!
 //! Responses are a pure function of the request; cache/dedupe disposition
 //! travels in the `x-hymm-cache` header only, which is what makes the

@@ -5,7 +5,7 @@
 //! 1. **Cold/warm amortisation** — against a fresh server, the first
 //!    request for each dataset pays graph preparation (cold); repeats hit
 //!    the prepared-state cache (warm). The means and their ratio are the
-//!    headline number recorded in BENCH_host.json's `serve` section.
+//!    headline amortisation number.
 //! 2. **Main run** — `concurrency` workers with keep-alive connections
 //!    issue `requests` total requests over the dataset × dataflow key
 //!    space, with configurable skew towards a hot key. Closed loop sends
@@ -98,22 +98,14 @@ impl Default for LoadgenConfig {
 pub struct LoadgenReport {
     /// Arrival discipline label.
     pub mode: &'static str,
-    /// Workers used.
-    pub concurrency: usize,
-    /// Requests attempted in the main run.
-    pub requests: usize,
     /// Distinct request keys in play.
     pub keys: usize,
     /// Hot-key probability.
     pub skew: f64,
-    /// Node-count cap.
-    pub scale: usize,
     /// Main-run requests answered with HTTP 200.
     pub completed: u64,
     /// Main-run requests that failed (transport or non-200).
     pub errors: u64,
-    /// Main-run wall-clock.
-    pub elapsed_seconds: f64,
     /// Completed requests per second of wall-clock.
     pub throughput_rps: f64,
     /// Latency percentiles and mean over completed requests, milliseconds.
@@ -379,14 +371,10 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     };
     Ok(LoadgenReport {
         mode: config.mode.label(),
-        concurrency: workers,
-        requests: config.requests,
         keys: bodies.len(),
         skew: config.skew,
-        scale: config.scale,
         completed,
         errors: errors.load(Ordering::Relaxed),
-        elapsed_seconds: elapsed,
         throughput_rps: completed as f64 / elapsed.max(1e-9),
         p50_ms: percentile(&samples, 0.50),
         p95_ms: percentile(&samples, 0.95),
@@ -418,83 +406,6 @@ pub fn scrape_stats(addr: &str) -> Result<Json, String> {
     parse_json(&resp.text()).map_err(|e| format!("/stats body: {e}"))
 }
 
-/// The BENCH_host.json `serve` section for one run.
-pub fn bench_section(report: &LoadgenReport) -> Json {
-    let num = |n: f64| Json::Num(n);
-    let ms = |n: f64| Json::Num((n * 1000.0).round() / 1000.0);
-    Json::Obj(vec![
-        ("mode".into(), Json::Str(report.mode.into())),
-        ("concurrency".into(), num(report.concurrency as f64)),
-        ("requests".into(), num(report.requests as f64)),
-        ("keys".into(), num(report.keys as f64)),
-        ("skew".into(), num(report.skew)),
-        ("scale".into(), num(report.scale as f64)),
-        ("completed".into(), num(report.completed as f64)),
-        ("errors".into(), num(report.errors as f64)),
-        (
-            "elapsed_seconds".into(),
-            Json::Num((report.elapsed_seconds * 1e6).round() / 1e6),
-        ),
-        (
-            "throughput_rps".into(),
-            Json::Num((report.throughput_rps * 100.0).round() / 100.0),
-        ),
-        ("p50_ms".into(), ms(report.p50_ms)),
-        ("p95_ms".into(), ms(report.p95_ms)),
-        ("p99_ms".into(), ms(report.p99_ms)),
-        ("mean_ms".into(), ms(report.mean_ms)),
-        ("cold_ms".into(), ms(report.cold_ms)),
-        ("warm_ms".into(), ms(report.warm_ms)),
-        (
-            "warm_over_cold".into(),
-            Json::Num((report.warm_over_cold * 10000.0).round() / 10000.0),
-        ),
-        ("cache_hits".into(), num(report.cache_hits as f64)),
-        ("cache_misses".into(), num(report.cache_misses as f64)),
-        (
-            "dedupe_coalesced".into(),
-            num(report.dedupe_coalesced as f64),
-        ),
-    ])
-}
-
-/// Renders a BENCH document in the file's house style: one top-level key
-/// per line, compact values.
-pub fn render_bench_doc(doc: &Json) -> String {
-    let Json::Obj(fields) = doc else {
-        return doc.render();
-    };
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        out.push_str("  \"");
-        out.push_str(&hymm_bench::json::esc(k));
-        out.push_str("\": ");
-        out.push_str(&v.render());
-        if i + 1 < fields.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Merges the `serve` section into an existing BENCH_host.json (creating
-/// the file if absent), preserving every other section.
-///
-/// # Errors
-///
-/// I/O failures or an existing file that does not parse.
-pub fn merge_into_bench(path: &str, report: &LoadgenReport) -> Result<(), String> {
-    let mut doc = match std::fs::read_to_string(path) {
-        Ok(text) => parse_json(&text).map_err(|e| format!("{path}: {e}"))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Json::Obj(Vec::new()),
-        Err(e) => return Err(format!("{path}: {e}")),
-    };
-    doc.set("serve", bench_section(report));
-    std::fs::write(path, render_bench_doc(&doc)).map_err(|e| format!("{path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,49 +435,5 @@ mod tests {
         assert!(seq_a.iter().all(|&k| k < 4));
         let mut c = 7u64;
         assert_eq!(pick_key(&mut c, 1, 0.0), 0, "single key always 0");
-    }
-
-    #[test]
-    fn bench_doc_renders_one_section_per_line() {
-        let report = LoadgenReport {
-            mode: "closed",
-            concurrency: 2,
-            requests: 32,
-            keys: 4,
-            skew: 0.5,
-            scale: 150,
-            completed: 32,
-            errors: 0,
-            elapsed_seconds: 1.25,
-            throughput_rps: 25.6,
-            p50_ms: 10.0,
-            p95_ms: 20.0,
-            p99_ms: 30.0,
-            mean_ms: 12.0,
-            cold_ms: 40.0,
-            warm_ms: 8.0,
-            warm_over_cold: 0.2,
-            cache_hits: 28,
-            cache_misses: 4,
-            dedupe_coalesced: 3,
-        };
-        let mut doc = parse_json(r#"{"suite": "hymm-bench run_suite", "scale": 600}"#).unwrap();
-        doc.set("serve", bench_section(&report));
-        let text = render_bench_doc(&doc);
-        assert!(
-            text.contains("\n  \"serve\": {\"mode\": \"closed\""),
-            "{text}"
-        );
-        assert!(text.contains("\"warm_over_cold\": 0.2"), "{text}");
-        assert!(text.contains("\n  \"suite\": \"hymm-bench run_suite\",\n"));
-        // Round-trips through the shared parser.
-        let reparsed = parse_json(&text).unwrap();
-        assert_eq!(
-            reparsed
-                .get("serve")
-                .and_then(|s| s.get("cache_hits"))
-                .and_then(Json::as_f64),
-            Some(28.0)
-        );
     }
 }
