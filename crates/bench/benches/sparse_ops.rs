@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hymm_graph::generator::preferential_attachment;
+use hymm_sparse::permute::degree_sort_permutation;
 use hymm_sparse::spdemm;
 use hymm_sparse::tiling::{TiledMatrix, TilingConfig};
 use hymm_sparse::{Csc, Csr, Dense};
@@ -39,9 +40,11 @@ fn bench_spdemm(c: &mut Criterion) {
 fn bench_tiling(c: &mut Criterion) {
     let mut group = c.benchmark_group("region_tiling");
     let coo = preferential_attachment(4_000, 20_000, 7);
+    let csr = Csr::from_coo(&coo);
+    let perm = degree_sort_permutation(&coo).expect("square");
     let cfg = TilingConfig::default();
     group.bench_function("tile_4k_nodes", |b| {
-        b.iter(|| TiledMatrix::new(&coo, &cfg).expect("square"))
+        b.iter(|| TiledMatrix::new(&csr, &perm, &cfg).expect("square"))
     });
     group.finish();
 }

@@ -12,6 +12,7 @@ use hymm_graph::degree::DegreeDistribution;
 use hymm_graph::sort::degree_sort;
 use hymm_sparse::storage::{StorageLayout, StorageReport};
 use hymm_sparse::tiling::{TiledMatrix, TilingConfig};
+use hymm_sparse::Csr;
 use std::fmt;
 use std::sync::Arc;
 
@@ -144,7 +145,12 @@ fn prepare_dataset(dataset: Dataset, args: &BenchArgs) -> PreparedDataset {
         threshold_fraction: config.tiling_fraction,
         dmb_capacity_rows: Some(config.dmb_capacity_rows(spec.layer_dim)),
     };
-    let tiled = TiledMatrix::new(&sorted.adjacency, &tiling).expect("sorted matrix is square");
+    let tiled = TiledMatrix::new(
+        &Csr::from_coo(&workload.adjacency),
+        &sorted.permutation,
+        &tiling,
+    )
+    .expect("adjacency is square");
     let storage = tiled.storage_report(&StorageLayout::default());
     let tiling_threshold = tiled.threshold();
     let density_grid = density_grid(&sorted.adjacency, DENSITY_GRID);

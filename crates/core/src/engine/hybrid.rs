@@ -166,9 +166,23 @@ pub fn region1_as_csc(tiled: &TiledMatrix) -> &Csc {
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
+    use hymm_sparse::permute::degree_sort_permutation;
     use hymm_sparse::spdemm;
     use hymm_sparse::tiling::TilingConfig;
-    use hymm_sparse::Coo;
+    use hymm_sparse::{Coo, Permutation};
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_pcg::Pcg64;
+
+    /// Tiles a matrix that is already in sorted order.
+    fn tile(adj: &Coo, config: &TilingConfig) -> TiledMatrix {
+        TiledMatrix::new(
+            &Csr::from_coo(adj),
+            &Permutation::identity(adj.rows()),
+            config,
+        )
+        .unwrap()
+    }
 
     fn sorted_power_law(n: usize) -> Coo {
         // hub-heavy sorted graph: node i connects to nodes i+1..i+deg(i)
@@ -188,7 +202,7 @@ mod tests {
     #[test]
     fn hybrid_matches_reference() {
         let adj = sorted_power_law(20);
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default());
         let dense = Dense::from_fn(20, 16, |r, c| ((r + c) % 7) as f32 * 0.25);
         let mut m = Machine::new(&AcceleratorConfig::default());
         let mut out = Dense::zeros(20, 16);
@@ -204,23 +218,64 @@ mod tests {
 
     #[test]
     fn merge_bottom_regions_is_lossless() {
-        let adj = sorted_power_law(15);
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
-        let t = tiled.threshold();
-        let bottom = merge_bottom_regions(&tiled);
-        let full = Csr::from_coo(&adj);
-        for r in t..15 {
-            let (want_cols, want_vals) = full.row(r);
-            let (got_cols, got_vals) = bottom.row(r - t);
-            assert_eq!(got_cols, want_cols, "row {r} columns");
-            assert_eq!(got_vals, want_vals, "row {r} values");
+        // Random unique-key graphs (nodes ≡ 3 mod 5 isolated) tiled
+        // straight from their CSR under the identity, a random relabelling
+        // and the degree sort: the merged regions 2/3 must equal rows T..n
+        // of the permuted matrix's CSR in every pointer, index and value
+        // bit.
+        for seed in 0..48u64 {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let n = rng.gen_range(2..40usize);
+            let mut keys = std::collections::BTreeMap::new();
+            for _ in 0..rng.gen_range(0..4 * n) {
+                let (r, c) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if r % 5 != 3 && c % 5 != 3 {
+                    keys.insert((r, c), rng.gen_range(-2.0f32..2.0));
+                }
+            }
+            let adj =
+                Coo::from_triplets(n, n, keys.into_iter().map(|((r, c), v)| (r, c, v))).unwrap();
+            let csr = Csr::from_coo(&adj);
+            let mut gather: Vec<u32> = (0..n as u32).collect();
+            gather.shuffle(&mut rng);
+            for perm in [
+                Permutation::identity(n),
+                Permutation::new(gather).unwrap(),
+                degree_sort_permutation(&adj).unwrap(),
+            ] {
+                let sorted = Csr::from_coo(&perm.apply_symmetric(&adj).unwrap());
+                for (fraction, cap) in [(0.0, None), (1e-9, None), (0.2, None), (0.9, Some(1))] {
+                    let config = TilingConfig {
+                        threshold_fraction: fraction,
+                        dmb_capacity_rows: cap,
+                    };
+                    let tiled = TiledMatrix::new(&csr, &perm, &config).unwrap();
+                    let t = tiled.threshold();
+                    let bottom = merge_bottom_regions(&tiled);
+                    let base = sorted.row_ptr()[t];
+                    let want_ptr: Vec<usize> =
+                        sorted.row_ptr()[t..].iter().map(|&p| p - base).collect();
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bottom.row_ptr(), want_ptr, "seed {seed} T={t}");
+                    assert_eq!(
+                        bottom.col_idx(),
+                        &sorted.col_idx()[base..],
+                        "seed {seed} T={t}"
+                    );
+                    assert_eq!(
+                        bits(bottom.values()),
+                        bits(&sorted.values()[base..]),
+                        "seed {seed} T={t}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn records_both_phases() {
         let adj = sorted_power_law(20);
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default());
         let dense = Dense::from_fn(20, 16, |_, _| 1.0);
         let mut m = Machine::new(&AcceleratorConfig::default());
         let mut out = Dense::zeros(20, 16);
@@ -237,7 +292,7 @@ mod tests {
             threshold_fraction: 0.0,
             dmb_capacity_rows: None,
         };
-        let tiled = TiledMatrix::new(&adj, &cfg).unwrap();
+        let tiled = tile(&adj, &cfg);
         let dense = Dense::from_fn(10, 16, |r, _| r as f32);
         let mut m = Machine::new(&AcceleratorConfig::default());
         let mut out = Dense::zeros(10, 16);
@@ -254,7 +309,7 @@ mod tests {
             threshold_fraction: 1.0,
             dmb_capacity_rows: None,
         };
-        let tiled = TiledMatrix::new(&adj, &cfg).unwrap();
+        let tiled = tile(&adj, &cfg);
         let dense = Dense::from_fn(10, 16, |r, _| r as f32);
         let mut m = Machine::new(&AcceleratorConfig::default());
         let mut out = Dense::zeros(10, 16);

@@ -51,8 +51,10 @@ pub struct PreparedAdjacency {
     adj: Coo,
     a_csr: OnceLock<Csr>,
     a_csc: OnceLock<Csc>,
-    /// Degree-sort permutation and the symmetrically permuted adjacency.
-    sorted: OnceLock<(Permutation, Coo)>,
+    /// Degree-sort permutation.
+    perm: OnceLock<Permutation>,
+    /// The symmetrically permuted adjacency.
+    sorted: OnceLock<Coo>,
     /// Tilings keyed by `(threshold_fraction bits, dmb_capacity_rows)` —
     /// ablations vary both, and the capacity also depends on the layer dim.
     tilings: Mutex<HashMap<(u64, usize), Arc<HybridTiling>>>,
@@ -75,6 +77,7 @@ impl PreparedAdjacency {
             adj,
             a_csr: OnceLock::new(),
             a_csc: OnceLock::new(),
+            perm: OnceLock::new(),
             sorted: OnceLock::new(),
             tilings: Mutex::new(HashMap::new()),
         })
@@ -95,16 +98,22 @@ impl PreparedAdjacency {
         self.a_csc.get_or_init(|| Csc::from_coo(&self.adj))
     }
 
-    /// Degree-sort permutation and sorted adjacency (hybrid preprocessing),
-    /// built on first use.
-    pub fn sorted(&self) -> &(Permutation, Coo) {
-        self.sorted.get_or_init(|| {
-            let perm = degree_sort_permutation(&self.adj).expect("adjacency validated square");
-            let a_sorted = perm
-                .apply_symmetric(&self.adj)
-                .expect("adjacency validated square");
-            (perm, a_sorted)
-        })
+    /// Degree-sort permutation (hybrid preprocessing), built on first use.
+    pub fn perm(&self) -> &Permutation {
+        self.perm
+            .get_or_init(|| degree_sort_permutation(&self.adj).expect("adjacency validated square"))
+    }
+
+    /// Degree-sort permutation and the degree-sorted adjacency as triplets,
+    /// built on first use. The simulation never reads the sorted triplets:
+    /// the tiling is built from [`Self::a_csr`] and [`Self::perm`].
+    pub fn sorted(&self) -> (&Permutation, &Coo) {
+        let perm = self.perm();
+        let sorted = self.sorted.get_or_init(|| {
+            perm.apply_symmetric(&self.adj)
+                .expect("adjacency validated square")
+        });
+        (perm, sorted)
     }
 
     /// The hybrid tiling (plus merged bottom CSR) for one
@@ -131,9 +140,9 @@ impl PreparedAdjacency {
         }
         // Built outside the lock: a concurrent builder produces an
         // identical value, and `or_insert` keeps whichever landed first.
-        let (_, a_sorted) = self.sorted();
         let tiled = TiledMatrix::new(
-            a_sorted,
+            self.a_csr(),
+            self.perm(),
             &TilingConfig {
                 threshold_fraction,
                 dmb_capacity_rows: Some(dmb_capacity_rows),
@@ -226,13 +235,11 @@ mod tests {
         let prep = PreparedAdjacency::new(adj.clone()).unwrap();
         assert_eq!(prep.a_csr().nnz(), adj.nnz());
         assert_eq!(prep.a_csc().nnz(), adj.nnz());
-        let (perm, a_sorted) = prep.sorted();
         let want_perm = degree_sort_permutation(&adj).unwrap();
-        assert_eq!(
-            want_perm.apply_symmetric(&adj).unwrap().nnz(),
-            a_sorted.nnz()
-        );
-        let _ = perm;
+        assert_eq!(prep.perm(), &want_perm);
+        let (perm, a_sorted) = prep.sorted();
+        assert!(std::ptr::eq(perm, prep.perm()), "one shared permutation");
+        assert_eq!(a_sorted, &want_perm.apply_symmetric(&adj).unwrap());
     }
 
     #[test]

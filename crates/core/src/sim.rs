@@ -282,7 +282,7 @@ pub fn run_gcn_layer_prepared(
                 });
             }
 
-            let (perm, _) = prep.sorted();
+            let perm = prep.perm();
             let x_sorted = perm.apply_rows(x)?;
             let x_csr = Csr::from_coo(&x_sorted);
             let mut xw = Dense::zeros(n, d);

@@ -20,7 +20,7 @@ use hymm_core::audit;
 use hymm_core::config::{AcceleratorConfig, Dataflow, MergePolicy};
 use hymm_core::sim::run_gcn_layer;
 use hymm_graph::generator::{power_law_with_exponent, preferential_attachment};
-use hymm_sparse::{Coo, Dense};
+use hymm_sparse::{Coo, Dense, TilingConfig};
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
 
@@ -161,6 +161,70 @@ fn materialized_merge_is_bit_identical_to_the_dense_reference() {
                 violations.is_empty(),
                 "seed {seed} {dataflow:?}: {violations:?}"
             );
+        }
+    }
+}
+
+/// The hybrid schedule at its tiling extremes: `T = 1` (one OP row),
+/// `T = n` (all OP, no RWP rows) and a DMB so small that its capacity
+/// clamps `T` below the fraction's share. HyMM and HyMM-noacc, audited,
+/// must stay bit-identical to the dense reference at each.
+#[test]
+fn hybrid_tiling_extremes_are_bit_identical_to_the_dense_reference() {
+    let default_mem = AcceleratorConfig::default().mem;
+    // 16 lines: 16 output rows of OUT_DIM floats, below every graph's n.
+    let clamping_mem = hymm_mem::MemConfig {
+        dmb_bytes: 16 * default_mem.line_bytes,
+        ..default_mem
+    };
+    let settings = [
+        ("T = 1", 1e-9, default_mem),
+        ("T = n", 1.0, default_mem),
+        ("DMB clamp", 1.0, clamping_mem),
+    ];
+    // Seed 0's graph has exactly 16 nodes, so it starts at 1.
+    for seed in 1..7u64 {
+        let mut rng = Pcg64::seed_from_u64(0x711E ^ seed);
+        let adj = integer_adjacency(&skewed_graph(seed), &mut rng);
+        let x = integer_features(adj.rows(), &mut rng);
+        let w = integer_weights(&mut rng);
+        let n = adj.rows();
+        let reference = densify(&adj)
+            .matmul(&densify(&x).matmul(&w).unwrap())
+            .unwrap();
+        for &(label, fraction, mem) in &settings {
+            for merge in [MergePolicy::NearMemory, MergePolicy::Materialize] {
+                let config = AcceleratorConfig {
+                    tiling_fraction: fraction,
+                    hybrid_merge: merge,
+                    mem,
+                    ..audited_config()
+                };
+                let t = TilingConfig {
+                    threshold_fraction: fraction,
+                    dmb_capacity_rows: Some(config.dmb_capacity_rows(OUT_DIM)),
+                }
+                .threshold(n);
+                let want_t = match label {
+                    "T = 1" => 1,
+                    "T = n" => n,
+                    _ => 16,
+                };
+                assert!(16 < n, "seed {seed}: the DMB must clamp T below n");
+                assert_eq!(t, want_t, "seed {seed} {label}");
+                let outcome = run_gcn_layer(&config, Dataflow::Hybrid, &adj, &x, &w)
+                    .unwrap_or_else(|e| panic!("seed {seed} {label} {merge:?}: {e}"));
+                assert_eq!(
+                    outcome.output.as_slice(),
+                    reference.as_slice(),
+                    "seed {seed}: hybrid at {label} with {merge:?} diverged from the dense reference"
+                );
+                let violations = audit::check_report(&outcome.report);
+                assert!(
+                    violations.is_empty(),
+                    "seed {seed} {label} {merge:?}: {violations:?}"
+                );
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 //! (paper Table I).
 
 use crate::coo::Coo;
-use crate::csr::Csr;
+use crate::csr::{validate_compressed, Csr};
 use crate::error::SparseError;
 
 /// A sparse matrix in compressed sparse column format.
@@ -136,14 +136,14 @@ impl Csc {
         row_idx: Vec<u32>,
         values: Vec<f32>,
     ) -> Result<Csc, SparseError> {
-        // Validate by reusing the CSR validator on the transposed shape.
-        let t = Csr::from_raw_parts(cols, rows, col_ptr, row_idx, values)?;
+        // A CSC is validated as the CSR of its transposed shape.
+        validate_compressed(cols, rows, &col_ptr, &row_idx, values.len())?;
         Ok(Csc {
             rows,
             cols,
-            col_ptr: t.row_ptr().to_vec(),
-            row_idx: t.col_idx().to_vec(),
-            values: t.values().to_vec(),
+            col_ptr,
+            row_idx,
+            values,
         })
     }
 

@@ -156,52 +156,7 @@ impl Csr {
         col_idx: Vec<u32>,
         values: Vec<f32>,
     ) -> Result<Csr, SparseError> {
-        if rows == 0 || cols == 0 {
-            return Err(SparseError::EmptyDimension);
-        }
-        if row_ptr.len() != rows + 1 {
-            return Err(SparseError::MalformedFormat(format!(
-                "row_ptr has {} entries, expected {}",
-                row_ptr.len(),
-                rows + 1
-            )));
-        }
-        if col_idx.len() != values.len() {
-            return Err(SparseError::MalformedFormat(format!(
-                "col_idx has {} entries but values has {}",
-                col_idx.len(),
-                values.len()
-            )));
-        }
-        if row_ptr[0] != 0 || *row_ptr.last().unwrap() != values.len() {
-            return Err(SparseError::MalformedFormat(
-                "row_ptr must start at 0 and end at nnz".to_string(),
-            ));
-        }
-        for w in row_ptr.windows(2) {
-            if w[0] > w[1] {
-                return Err(SparseError::MalformedFormat(
-                    "row_ptr must be monotonically non-decreasing".to_string(),
-                ));
-            }
-        }
-        for r in 0..rows {
-            let seg = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            for w in seg.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(SparseError::MalformedFormat(format!(
-                        "column indices in row {r} not strictly increasing"
-                    )));
-                }
-            }
-            if let Some(&last) = seg.last() {
-                if last as usize >= cols {
-                    return Err(SparseError::MalformedFormat(format!(
-                        "column index {last} out of bounds in row {r}"
-                    )));
-                }
-            }
-        }
+        validate_compressed(rows, cols, &row_ptr, &col_idx, values.len())?;
         Ok(Csr {
             rows,
             cols,
@@ -296,6 +251,61 @@ impl Csr {
     pub fn degrees(&self) -> Vec<usize> {
         (0..self.rows).map(|r| self.row_nnz(r)).collect()
     }
+}
+
+/// Checks the structural invariants of a compressed layout with `major`
+/// pointer-indexed lanes over `minor` indices (CSR rows over columns, or
+/// CSC columns over rows): `ptr` has `major + 1` monotone entries from 0 to
+/// `nnz`, and each lane's indices are strictly increasing and in bounds.
+pub(crate) fn validate_compressed(
+    major: usize,
+    minor: usize,
+    ptr: &[usize],
+    idx: &[u32],
+    nnz: usize,
+) -> Result<(), SparseError> {
+    if major == 0 || minor == 0 {
+        return Err(SparseError::EmptyDimension);
+    }
+    if ptr.len() != major + 1 {
+        return Err(SparseError::MalformedFormat(format!(
+            "row_ptr has {} entries, expected {}",
+            ptr.len(),
+            major + 1
+        )));
+    }
+    if idx.len() != nnz {
+        return Err(SparseError::MalformedFormat(format!(
+            "col_idx has {} entries but values has {nnz}",
+            idx.len()
+        )));
+    }
+    if ptr[0] != 0 || ptr[major] != nnz {
+        return Err(SparseError::MalformedFormat(
+            "row_ptr must start at 0 and end at nnz".to_string(),
+        ));
+    }
+    if ptr.windows(2).any(|w| w[0] > w[1]) {
+        return Err(SparseError::MalformedFormat(
+            "row_ptr must be monotonically non-decreasing".to_string(),
+        ));
+    }
+    for r in 0..major {
+        let seg = &idx[ptr[r]..ptr[r + 1]];
+        if seg.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(SparseError::MalformedFormat(format!(
+                "column indices in row {r} not strictly increasing"
+            )));
+        }
+        if let Some(&last) = seg.last() {
+            if last as usize >= minor {
+                return Err(SparseError::MalformedFormat(format!(
+                    "column index {last} out of bounds in row {r}"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

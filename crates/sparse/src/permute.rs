@@ -131,6 +131,11 @@ impl Permutation {
         &self.gather
     }
 
+    /// Scatter vector (`scatter[old] = new`).
+    pub(crate) fn as_scatter(&self) -> &[u32] {
+        &self.scatter
+    }
+
     /// Applies the permutation symmetrically to rows and columns of a square
     /// matrix (a graph relabelling).
     ///

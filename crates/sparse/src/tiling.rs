@@ -1,4 +1,4 @@
-//! HyMM's degree-based region tiling of a sorted adjacency matrix.
+//! HyMM's degree-based region tiling of a degree-sorted adjacency matrix.
 //!
 //! After degree sorting, the adjacency matrix concentrates non-zeros towards
 //! the top-left. HyMM splits it into three regions (paper §III, Fig. 2b):
@@ -22,6 +22,7 @@ use crate::coo::Coo;
 use crate::csc::Csc;
 use crate::csr::Csr;
 use crate::error::SparseError;
+use crate::permute::Permutation;
 use crate::storage::{StorageLayout, StorageReport};
 
 /// Identifies one of the three tiles of the sorted adjacency matrix.
@@ -159,13 +160,17 @@ impl Region {
 /// # Example
 ///
 /// ```
-/// use hymm_sparse::{Coo, TiledMatrix, TilingConfig};
+/// use hymm_sparse::permute::degree_sort_permutation;
+/// use hymm_sparse::{Coo, Csr, TiledMatrix, TilingConfig};
 ///
 /// # fn main() -> Result<(), hymm_sparse::SparseError> {
-/// // 5-node chain, already "sorted" for the example.
-/// let adj = Coo::from_triplets(5, 5, (0..4).map(|i| (i, i + 1, 1.0)))?;
-/// let tiled = TiledMatrix::new(&adj, &TilingConfig::default())?;
-/// assert_eq!(tiled.total_nnz(), 4);
+/// // A 5-node star whose hub is node 4: the degree sort moves it to row 0.
+/// let adj = Coo::from_triplets(5, 5, (0..4).flat_map(|i| [(i, 4, 1.0), (4, i, 1.0)]))?;
+/// let perm = degree_sort_permutation(&adj)?;
+/// let tiled = TiledMatrix::new(&Csr::from_coo(&adj), &perm, &TilingConfig::default())?;
+/// assert_eq!(tiled.threshold(), 1);
+/// assert_eq!(tiled.regions()[0].nnz(), 4); // the hub's row
+/// assert_eq!(tiled.total_nnz(), 8);
 /// # Ok(())
 /// # }
 /// ```
@@ -177,58 +182,124 @@ pub struct TiledMatrix {
 }
 
 impl TiledMatrix {
-    /// Tiles a square adjacency matrix that has **already been degree
-    /// sorted** (see [`crate::permute::degree_sort_permutation`]).
+    /// Tiles the degree-sorted matrix `P·A·Pᵀ` straight from `A`'s CSR and
+    /// the sorting permutation `perm` (see
+    /// [`crate::permute::degree_sort_permutation`]). A caller whose matrix
+    /// is already in sorted order passes [`Permutation::identity`].
+    ///
+    /// Sorted row `i` is row `perm.source_index(i)` of `adj` with every
+    /// column `c` relabelled to `perm.apply_index(c)`. Region 1 is a
+    /// counting scatter of sorted rows `0..T` into their relabelled
+    /// columns; the rows arrive in ascending order, so every column comes
+    /// out sorted. Each of the short rows `T..n` is relabelled, sorted
+    /// locally and split at column `T` into regions 2 and 3, whose row
+    /// pointers a counting pass fixes first, so every array is allocated
+    /// at its exact size. CSR keys are unique, so each region is a
+    /// function of the key set alone.
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::ShapeMismatch`] if the matrix is not square,
-    /// [`SparseError::EmptyDimension`] if it is empty, and
-    /// [`SparseError::InvalidConfig`] if the tiling configuration fails
-    /// [`TilingConfig::validate`].
-    pub fn new(sorted_adj: &Coo, config: &TilingConfig) -> Result<TiledMatrix, SparseError> {
+    /// Returns [`SparseError::ShapeMismatch`] if the matrix is not square
+    /// or `perm` has another length, and [`SparseError::InvalidConfig`] if
+    /// the tiling configuration fails [`TilingConfig::validate`].
+    pub fn new(
+        adj: &Csr,
+        perm: &Permutation,
+        config: &TilingConfig,
+    ) -> Result<TiledMatrix, SparseError> {
         config.validate()?;
-        if sorted_adj.rows() != sorted_adj.cols() {
+        let n = adj.rows();
+        if adj.cols() != n || perm.len() != n {
             return Err(SparseError::ShapeMismatch {
-                left: (sorted_adj.rows(), sorted_adj.cols()),
-                right: (sorted_adj.cols(), sorted_adj.rows()),
+                left: (adj.rows(), adj.cols()),
+                right: (perm.len(), perm.len()),
             });
         }
-        let n = sorted_adj.rows();
         let t = config.threshold(n);
+        let relabel = perm.as_scatter();
+        let (top, rest) = perm.as_gather().split_at(t);
 
-        let mut r1 = Coo::new(t.max(1), n)?;
-        let rest_rows = (n - t).max(1);
-        let mut r2 = Coo::new(rest_rows, t.max(1))?;
-        let mut r3 = Coo::new(rest_rows, (n - t).max(1))?;
-        for (r, c, v) in sorted_adj.iter() {
-            if r < t {
-                r1.push(r, c, v)?;
-            } else if c < t {
-                r2.push(r - t, c, v)?;
-            } else {
-                r3.push(r - t, c - t, v)?;
+        // Region 1: a counting scatter of rows 0..T by relabelled column.
+        let mut col_ptr = vec![0usize; n + 1];
+        for &old in top {
+            for &c in adj.row(old as usize).0 {
+                col_ptr[relabel[c as usize] as usize + 1] += 1;
             }
         }
+        for c in 0..n {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        let mut row_idx = vec![0u32; col_ptr[n]];
+        let mut values = vec![0f32; col_ptr[n]];
+        let mut next = col_ptr[..n].to_vec();
+        for (r, &old) in top.iter().enumerate() {
+            let (cols, vals) = adj.row(old as usize);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let slot = &mut next[relabel[c as usize] as usize];
+                row_idx[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
+            }
+        }
+        let region1 = Csc::from_raw_parts(t.max(1), n, col_ptr, row_idx, values)
+            .expect("a counting scatter of ascending rows is a valid CSC");
+
+        // Regions 2 and 3: count each row's columns below T, then relabel,
+        // sort and split every row. With T = n both keep one empty row.
+        let rest_rows = (n - t).max(1);
+        let mut ptr2 = vec![0usize; rest_rows + 1];
+        let mut ptr3 = vec![0usize; rest_rows + 1];
+        for (r, &old) in rest.iter().enumerate() {
+            let cols = adj.row(old as usize).0;
+            let low = cols
+                .iter()
+                .filter(|&&c| (relabel[c as usize] as usize) < t)
+                .count();
+            ptr2[r + 1] = ptr2[r] + low;
+            ptr3[r + 1] = ptr3[r] + cols.len() - low;
+        }
+        let (nnz2, nnz3) = (ptr2[rest.len()], ptr3[rest.len()]);
+        let (mut idx2, mut vals2) = (Vec::with_capacity(nnz2), Vec::with_capacity(nnz2));
+        let (mut idx3, mut vals3) = (Vec::with_capacity(nnz3), Vec::with_capacity(nnz3));
+        let mut row: Vec<(u32, f32)> = Vec::new();
+        for &old in rest {
+            let (cols, vals) = adj.row(old as usize);
+            row.clear();
+            row.extend(
+                cols.iter()
+                    .zip(vals)
+                    .map(|(&c, &v)| (relabel[c as usize], v)),
+            );
+            row.sort_unstable_by_key(|&(c, _)| c);
+            let split = row.partition_point(|&(c, _)| (c as usize) < t);
+            idx2.extend(row[..split].iter().map(|&(c, _)| c));
+            vals2.extend(row[..split].iter().map(|&(_, v)| v));
+            idx3.extend(row[split..].iter().map(|&(c, _)| c - t as u32));
+            vals3.extend(row[split..].iter().map(|&(_, v)| v));
+        }
+        let region2 = Csr::from_raw_parts(rest_rows, t.max(1), ptr2, idx2, vals2)
+            .expect("sorted rows below T form a valid CSR");
+        let region3 = Csr::from_raw_parts(rest_rows, (n - t).max(1), ptr3, idx3, vals3)
+            .expect("sorted rows from T form a valid CSR");
 
         let regions = vec![
             Region {
                 id: RegionId::HighDegreeRows,
                 row_range: (0, t),
                 col_range: (0, n),
-                format: RegionFormat::Csc(Csc::from_coo(&r1)),
+                format: RegionFormat::Csc(region1),
             },
             Region {
                 id: RegionId::HighDegreeCols,
                 row_range: (t, n),
                 col_range: (0, t),
-                format: RegionFormat::Csr(Csr::from_coo(&r2)),
+                format: RegionFormat::Csr(region2),
             },
             Region {
                 id: RegionId::SparseRest,
                 row_range: (t, n),
                 col_range: (t, n),
-                format: RegionFormat::Csr(Csr::from_coo(&r3)),
+                format: RegionFormat::Csr(region3),
             },
         ];
         Ok(TiledMatrix {
@@ -302,7 +373,151 @@ impl TiledMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::Csr;
+    use crate::permute::degree_sort_permutation;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_pcg::Pcg64;
+
+    /// Tiles `adj` as given, i.e. under the identity permutation.
+    fn tile(adj: &Coo, config: &TilingConfig) -> Result<TiledMatrix, SparseError> {
+        TiledMatrix::new(
+            &Csr::from_coo(adj),
+            &Permutation::identity(adj.rows()),
+            config,
+        )
+    }
+
+    /// The tiling as it was built before it read `A`'s CSR: the permuted
+    /// triplets pushed into one COO per region, each converted with
+    /// `from_coo`. Kept as the reference [`TiledMatrix::new`] must match.
+    fn reference_tiling(sorted_adj: &Coo, config: &TilingConfig) -> TiledMatrix {
+        let n = sorted_adj.rows();
+        let t = config.threshold(n);
+        let mut r1 = Coo::new(t.max(1), n).unwrap();
+        let rest_rows = (n - t).max(1);
+        let mut r2 = Coo::new(rest_rows, t.max(1)).unwrap();
+        let mut r3 = Coo::new(rest_rows, (n - t).max(1)).unwrap();
+        for (r, c, v) in sorted_adj.iter() {
+            if r < t {
+                r1.push(r, c, v).unwrap();
+            } else if c < t {
+                r2.push(r - t, c, v).unwrap();
+            } else {
+                r3.push(r - t, c - t, v).unwrap();
+            }
+        }
+        let regions = vec![
+            Region {
+                id: RegionId::HighDegreeRows,
+                row_range: (0, t),
+                col_range: (0, n),
+                format: RegionFormat::Csc(Csc::from_coo(&r1)),
+            },
+            Region {
+                id: RegionId::HighDegreeCols,
+                row_range: (t, n),
+                col_range: (0, t),
+                format: RegionFormat::Csr(Csr::from_coo(&r2)),
+            },
+            Region {
+                id: RegionId::SparseRest,
+                row_range: (t, n),
+                col_range: (t, n),
+                format: RegionFormat::Csr(Csr::from_coo(&r3)),
+            },
+        ];
+        TiledMatrix {
+            n,
+            threshold: t,
+            regions,
+        }
+    }
+
+    /// A region's stored values as bits (`==` on `f32` equates ±0).
+    fn value_bits(region: &Region) -> Vec<u32> {
+        let values = match &region.format {
+            RegionFormat::Csc(m) => m.values(),
+            RegionFormat::Csr(m) => m.values(),
+        };
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A random `n × n` matrix with unique keys in which every node
+    /// `≡ 3 (mod 5)` is isolated.
+    fn unique_square(n: usize, rng: &mut Pcg64) -> Coo {
+        let mut keys = std::collections::BTreeMap::new();
+        for _ in 0..rng.gen_range(0..4 * n) {
+            let (r, c) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if r % 5 != 3 && c % 5 != 3 {
+                keys.insert((r, c), rng.gen_range(-2.0f32..2.0));
+            }
+        }
+        Coo::from_triplets(n, n, keys.into_iter().map(|((r, c), v)| (r, c, v))).unwrap()
+    }
+
+    #[test]
+    fn tiling_from_csr_matches_the_coo_reference_bit_for_bit() {
+        for seed in 0..64u64 {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let n = rng.gen_range(1..40usize);
+            let adj = unique_square(n, &mut rng);
+            let csr = Csr::from_coo(&adj);
+            let mut gather: Vec<u32> = (0..n as u32).collect();
+            gather.shuffle(&mut rng);
+            let perms = [
+                Permutation::identity(n),
+                Permutation::new(gather).unwrap(),
+                degree_sort_permutation(&adj).unwrap(),
+            ];
+            // T = 0, T = 1, 20 %, T = n and one random fraction, each
+            // uncapped, capped at one row, capped above n and at random.
+            let fractions = [0.0, 1e-9, 0.2, 1.0, rng.gen_range(0.0..1.0)];
+            let caps = [None, Some(1), Some(n + 1), Some(rng.gen_range(1..=n))];
+            for perm in &perms {
+                let sorted = perm.apply_symmetric(&adj).unwrap();
+                for &threshold_fraction in &fractions {
+                    for &dmb_capacity_rows in &caps {
+                        let config = TilingConfig {
+                            threshold_fraction,
+                            dmb_capacity_rows,
+                        };
+                        let got = TiledMatrix::new(&csr, perm, &config).unwrap();
+                        let want = reference_tiling(&sorted, &config);
+                        assert_eq!(got, want, "seed {seed} {config:?}");
+                        for (g, w) in got.regions().iter().zip(want.regions()) {
+                            assert_eq!(value_bits(g), value_bits(w), "seed {seed} {config:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn permuted_tiling_relabels_rows_and_columns() {
+        // Edge 0 -> 2 in a 3-node graph; the permutation moves node 2 to
+        // position 0 and node 0 to position 1, so the edge lands at (1, 0)
+        // in region 2 once T = 1.
+        let adj = Coo::from_triplets(3, 3, [(0, 2, 5.0)]).unwrap();
+        let perm = Permutation::new(vec![2, 0, 1]).unwrap();
+        let config = TilingConfig {
+            threshold_fraction: 0.2,
+            dmb_capacity_rows: None,
+        };
+        let tiled = TiledMatrix::new(&Csr::from_coo(&adj), &perm, &config).unwrap();
+        assert_eq!(tiled.threshold(), 1);
+        assert_eq!(tiled.to_coo().iter().collect::<Vec<_>>(), [(1, 0, 5.0)]);
+        assert_eq!(tiled.region(RegionId::HighDegreeCols).nnz(), 1);
+    }
+
+    #[test]
+    fn rejects_a_permutation_of_another_length() {
+        let adj = Csr::from_coo(&Coo::from_triplets(3, 3, [(0, 1, 1.0)]).unwrap());
+        assert!(matches!(
+            TiledMatrix::new(&adj, &Permutation::identity(4), &TilingConfig::default()),
+            Err(SparseError::ShapeMismatch { .. })
+        ));
+    }
 
     fn power_lawish() -> Coo {
         // 10 nodes; node 0 and 1 are hubs.
@@ -342,7 +557,7 @@ mod tests {
     #[test]
     fn partition_is_complete_and_disjoint() {
         let adj = power_lawish();
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default()).unwrap();
         assert_eq!(tiled.total_nnz(), adj.nnz());
         // element-wise equality through densification
         let orig = Csr::from_coo(&adj);
@@ -353,7 +568,7 @@ mod tests {
     #[test]
     fn regions_have_expected_windows() {
         let adj = power_lawish();
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default()).unwrap();
         assert_eq!(tiled.threshold(), 2);
         let r1 = tiled.region(RegionId::HighDegreeRows);
         assert_eq!(r1.row_range, (0, 2));
@@ -369,7 +584,7 @@ mod tests {
     #[test]
     fn hub_rows_land_in_region_one() {
         let adj = power_lawish();
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default()).unwrap();
         // hub row 0 carries 9 nnz (cols 1..9); hub row 1 carries 7
         // (col 0 from the first loop plus cols 2..7).
         assert_eq!(tiled.region(RegionId::HighDegreeRows).nnz(), 16);
@@ -378,7 +593,7 @@ mod tests {
     #[test]
     fn storage_overhead_positive_and_small() {
         let adj = power_lawish();
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default()).unwrap();
         let rep = tiled.storage_report(&StorageLayout::default());
         assert!(rep.tiled_bytes > rep.plain_bytes);
         assert!(
@@ -391,7 +606,7 @@ mod tests {
     #[test]
     fn rejects_non_square() {
         let adj = Coo::from_triplets(2, 3, [(0, 0, 1.0)]).unwrap();
-        assert!(TiledMatrix::new(&adj, &TilingConfig::default()).is_err());
+        assert!(tile(&adj, &TilingConfig::default()).is_err());
     }
 
     #[test]
@@ -401,7 +616,7 @@ mod tests {
             threshold_fraction: 1.0,
             dmb_capacity_rows: None,
         };
-        let tiled = TiledMatrix::new(&adj, &cfg).unwrap();
+        let tiled = tile(&adj, &cfg).unwrap();
         assert_eq!(tiled.region(RegionId::HighDegreeRows).nnz(), adj.nnz());
         assert_eq!(tiled.region(RegionId::HighDegreeCols).nnz(), 0);
     }
@@ -413,7 +628,7 @@ mod tests {
             threshold_fraction: 0.0,
             dmb_capacity_rows: None,
         };
-        let tiled = TiledMatrix::new(&adj, &cfg).unwrap();
+        let tiled = tile(&adj, &cfg).unwrap();
         assert_eq!(tiled.region(RegionId::SparseRest).nnz(), adj.nnz());
     }
 
@@ -424,7 +639,7 @@ mod tests {
             threshold_fraction: f64::NAN,
             dmb_capacity_rows: None,
         };
-        match TiledMatrix::new(&adj, &cfg) {
+        match tile(&adj, &cfg) {
             Err(SparseError::InvalidConfig(msg)) => assert!(msg.contains("finite"), "{msg}"),
             other => panic!("NaN fraction must be rejected, got {other:?}"),
         }
@@ -438,7 +653,7 @@ mod tests {
             dmb_capacity_rows: None,
         };
         assert!(matches!(
-            TiledMatrix::new(&adj, &cfg),
+            tile(&adj, &cfg),
             Err(SparseError::InvalidConfig(_))
         ));
     }
@@ -451,7 +666,7 @@ mod tests {
             dmb_capacity_rows: None,
         };
         assert!(matches!(
-            TiledMatrix::new(&adj, &cfg),
+            tile(&adj, &cfg),
             Err(SparseError::InvalidConfig(_))
         ));
     }
@@ -464,7 +679,7 @@ mod tests {
             dmb_capacity_rows: Some(0),
         };
         assert!(matches!(
-            TiledMatrix::new(&adj, &cfg),
+            tile(&adj, &cfg),
             Err(SparseError::InvalidConfig(_))
         ));
     }
@@ -480,7 +695,7 @@ mod tests {
     #[test]
     fn single_node_graph_tiles() {
         let adj = Coo::from_triplets(1, 1, [(0, 0, 1.0)]).unwrap();
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default()).unwrap();
         // ceil(1 * 0.2) = 1, so the whole (single-row) matrix is region 1.
         assert_eq!(tiled.threshold(), 1);
         assert_eq!(tiled.total_nnz(), 1);
@@ -495,7 +710,7 @@ mod tests {
             threshold_fraction: 0.0,
             dmb_capacity_rows: None,
         };
-        let tiled = TiledMatrix::new(&adj, &cfg).unwrap();
+        let tiled = tile(&adj, &cfg).unwrap();
         assert_eq!(tiled.threshold(), 0);
         assert_eq!(tiled.region(RegionId::SparseRest).nnz(), 1);
         assert_eq!(Csr::from_coo(&tiled.to_coo()), Csr::from_coo(&adj));
@@ -509,7 +724,7 @@ mod tests {
             threshold_fraction: 1.0,
             dmb_capacity_rows: None,
         };
-        let tiled = TiledMatrix::new(&adj, &cfg).unwrap();
+        let tiled = tile(&adj, &cfg).unwrap();
         assert_eq!(tiled.threshold(), adj.rows());
         assert_eq!(tiled.total_nnz(), adj.nnz());
         assert_eq!(Csr::from_coo(&tiled.to_coo()), Csr::from_coo(&adj));
@@ -519,7 +734,7 @@ mod tests {
     fn execution_order_starts_with_op_region() {
         assert_eq!(RegionId::EXECUTION_ORDER[0], RegionId::HighDegreeRows);
         let adj = power_lawish();
-        let tiled = TiledMatrix::new(&adj, &TilingConfig::default()).unwrap();
+        let tiled = tile(&adj, &TilingConfig::default()).unwrap();
         assert_eq!(tiled.regions()[0].id, RegionId::HighDegreeRows);
     }
 }

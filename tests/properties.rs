@@ -7,7 +7,7 @@ use hymm::gcn::{run_inference, GcnModel};
 use hymm::sparse::permute::degree_sort_permutation;
 use hymm::sparse::spdemm;
 use hymm::sparse::tiling::{TiledMatrix, TilingConfig};
-use hymm::sparse::{Coo, Csc, Csr, Dense};
+use hymm::sparse::{Coo, Csc, Csr, Dense, Permutation};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse square matrix as triplets.
@@ -82,8 +82,8 @@ proptest! {
         let perm = degree_sort_permutation(&coo).expect("square");
         let sorted = perm.apply_symmetric(&coo).expect("square");
         let cfg = TilingConfig { threshold_fraction: fraction, dmb_capacity_rows: None };
-        let tiled = TiledMatrix::new(&sorted, &cfg).expect("square");
-        // regions coalesce duplicate coordinates, so compare against the
+        let tiled = TiledMatrix::new(&Csr::from_coo(&coo), &perm, &cfg).expect("square");
+        // the CSR coalesces duplicate coordinates, so compare against the
         // coalesced non-zero count
         let a = Csr::from_coo(&sorted);
         prop_assert_eq!(tiled.total_nnz(), a.nnz());
@@ -100,7 +100,8 @@ proptest! {
     #[test]
     fn tiled_storage_never_smaller_than_plain(coo in square_coo(24, 80)) {
         let cfg = TilingConfig::default();
-        let tiled = TiledMatrix::new(&coo, &cfg).expect("square");
+        let perm = Permutation::identity(coo.rows());
+        let tiled = TiledMatrix::new(&Csr::from_coo(&coo), &perm, &cfg).expect("square");
         let rep = tiled.storage_report(&hymm::sparse::storage::StorageLayout::default());
         prop_assert!(rep.tiled_bytes >= rep.plain_bytes);
     }
