@@ -10,7 +10,7 @@ pub const USAGE: &str = "usage: <bin> [--scale N] [--datasets CR,AP,AC,CS,PH,FR,
      [--audit] [--stalls] [--preset default|tuned] \
      [--prefetch off|next-line|smq-stream] [--prefetch-degree N] \
      [--prefetch-mshr-cap K] [--pe-lanes N] [--mac-latency N] \
-     [--mac-pipeline] [--lane-gating] [--metrics-interval CYCLES] \
+     [--mac-pipeline] [--lane-gating] \
      [--quiet] [-v|--verbose]";
 
 /// A malformed command line. Binaries print this (plus [`USAGE`]) and exit
@@ -84,10 +84,6 @@ pub struct BenchArgs {
     /// Per-lane operand gating (flexible VRF): short rows charge only
     /// occupied lanes' energy and may be packed several to an issue slot.
     pub lane_gating: bool,
-    /// Interval-sampled telemetry: sample component gauges every this many
-    /// cycles into `SimReport::metrics` (`None` = off, the pinned
-    /// bit-identical default).
-    pub metrics_interval: Option<u64>,
     /// Silence progress output (`--quiet`); errors still print.
     pub quiet: bool,
     /// Enable diagnostic detail (`-v`/`--verbose`).
@@ -110,7 +106,6 @@ impl Default for BenchArgs {
             mac_latency: None,
             mac_pipeline: false,
             lane_gating: false,
-            metrics_interval: None,
             quiet: false,
             verbose: false,
         }
@@ -124,8 +119,10 @@ impl BenchArgs {
     ///
     /// # Errors
     ///
-    /// Returns an [`ArgError`] describing the first malformed argument;
-    /// nothing panics and no partial state escapes.
+    /// Returns an [`ArgError`] describing the first malformed argument, or
+    /// the configuration error when the arguments describe an accelerator
+    /// that `AcceleratorConfig::validate` refuses; nothing panics and no
+    /// partial state escapes.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, ArgError> {
         let mut out = BenchArgs::default();
         let mut it = args.into_iter();
@@ -227,20 +224,6 @@ impl BenchArgs {
                 }
                 "--mac-pipeline" => out.mac_pipeline = true,
                 "--lane-gating" => out.lane_gating = true,
-                "--metrics-interval" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ArgError::new("--metrics-interval needs a cycle count"))?;
-                    let n: u64 = v.parse().map_err(|_| {
-                        ArgError::new(format!(
-                            "--metrics-interval needs a positive integer, got {v:?}"
-                        ))
-                    })?;
-                    if n == 0 {
-                        return Err(ArgError::new("--metrics-interval must be at least 1"));
-                    }
-                    out.metrics_interval = Some(n);
-                }
                 "--quiet" => out.quiet = true,
                 "-v" | "--verbose" => out.verbose = true,
                 "--help" | "-h" => {
@@ -259,6 +242,12 @@ impl BenchArgs {
                 "--quiet and --verbose are mutually exclusive",
             ));
         }
+        // Values the simulator refuses (a lane count above the maximum, a
+        // prefetch cap that starves demand misses, ...) are argument errors
+        // here rather than a panic once the suite is running.
+        out.accelerator_config()
+            .validate()
+            .map_err(|e| ArgError::new(e.to_string()))?;
         Ok(out)
     }
 
@@ -315,12 +304,6 @@ impl BenchArgs {
         self.preset.apply(&mut config);
         self.apply_prefetch(&mut config.mem);
         self.apply_pe(&mut config);
-        if let Some(every) = self.metrics_interval {
-            config.metrics = Some(hymm_mem::metrics::MetricsConfig {
-                sample_every: every,
-                ..hymm_mem::metrics::MetricsConfig::default()
-            });
-        }
         config
     }
 
@@ -565,6 +548,22 @@ mod tests {
     }
 
     #[test]
+    fn rejects_values_the_simulator_refuses() {
+        for (args, want) in [
+            (["--pe-lanes", "5000"], "num_pes"),
+            (["--mac-latency", "1000"], "mac_latency"),
+            (["--prefetch-degree", "65"], "prefetch_degree"),
+            (["--prefetch-mshr-cap", "32"], "prefetch_mshr_cap"),
+        ] {
+            let e = parse(&args).unwrap_err();
+            assert!(e.to_string().contains(want), "{args:?}: {e}");
+        }
+        // The preset applies before validation: the tuned preset's 64
+        // MSHRs admit a cap the Table III default's 32 would refuse.
+        assert!(parse(&["--preset", "tuned", "--prefetch-mshr-cap", "32"]).is_ok());
+    }
+
+    #[test]
     fn prefetch_overrides_apply_onto_mem_config() {
         let mut mem = hymm_mem::MemConfig::default();
         let defaults = (mem.prefetch_degree, mem.prefetch_mshr_cap);
@@ -581,33 +580,6 @@ mod tests {
         assert_eq!(mem.prefetch, PrefetchPolicy::SmqStream);
         assert_eq!(mem.prefetch_degree, 3);
         assert_eq!(mem.prefetch_mshr_cap, 2);
-    }
-
-    #[test]
-    fn metrics_interval_defaults_off_and_parses() {
-        let a = parse(&[]).unwrap();
-        assert_eq!(a.metrics_interval, None);
-        assert_eq!(a.accelerator_config().metrics, None);
-        let a = parse(&["--metrics-interval", "2048"]).unwrap();
-        assert_eq!(a.metrics_interval, Some(2048));
-        let config = a.accelerator_config();
-        let m = config.metrics.expect("sampling enabled");
-        assert_eq!(m.sample_every, 2048);
-        assert!(config.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_zero_or_negative_metrics_interval() {
-        // Zero at parse time, negative via the unsigned grammar; both land
-        // before any config is built, matching the PR 7/8 knob pattern
-        // (AcceleratorConfig::validate rejects the same values with
-        // SparseError::InvalidConfig for non-CLI construction).
-        let e = parse(&["--metrics-interval", "0"]).unwrap_err();
-        assert!(e.to_string().contains("at least 1"), "{e}");
-        let e = parse(&["--metrics-interval", "-5"]).unwrap_err();
-        assert!(e.to_string().contains("positive integer"), "{e}");
-        let e = parse(&["--metrics-interval"]).unwrap_err();
-        assert!(e.to_string().contains("needs a cycle count"), "{e}");
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The workspace has no crates.io access, so every JSON producer and
 //! consumer — the Chrome-trace writer/validator ([`crate::trace_json`]),
-//! the metrics sidecar checker ([`crate::metrics_json`]), the `hymm-serve`
-//! request/response protocol and the repo benchmark's results files —
+//! the `hymm-serve` request/response protocol and the repo benchmark's results files —
 //! funnels through this one hand-rolled reader/writer instead of growing
 //! per-module dialects.
 //!

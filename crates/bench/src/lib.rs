@@ -36,7 +36,6 @@ pub mod export;
 pub mod figures;
 pub mod json;
 pub mod log;
-pub mod metrics_json;
 pub mod pe_sweep;
 pub mod pool;
 pub mod runner;

@@ -87,6 +87,18 @@ pub enum MergePolicy {
     Materialize,
 }
 
+/// Largest accepted [`AcceleratorConfig::num_pes`]. Lane counts multiply
+/// into the PE array's lane-operation counter, which would wrap silently in
+/// a release build; 1024 is far above any preset, DSE point or sweep (at
+/// most 32).
+pub const MAX_PE_LANES: usize = 1024;
+
+/// Largest accepted [`AcceleratorConfig::mac_latency`] in cycles. The
+/// latency multiplies into the PE array's busy-cycle counters, which would
+/// wrap silently in a release build; 256 is far above any preset, DSE point
+/// or sweep (at most 4).
+pub const MAX_MAC_LATENCY: u64 = 256;
+
 /// Full accelerator configuration, defaulting to the paper's Table III.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
@@ -134,11 +146,6 @@ pub struct AcceleratorConfig {
     /// at report time, panicking on any violation. Observation-only: timing
     /// and statistics are identical with the flag on or off.
     pub audit: bool,
-    /// Interval-sampled telemetry (see [`crate::metrics`]). `None` (the
-    /// default) is pinned bit-identical to a build without the subsystem;
-    /// `Some` leaves every cycle count unchanged and adds a bounded
-    /// time series to [`crate::stats::SimReport::metrics`].
-    pub metrics: Option<hymm_mem::metrics::MetricsConfig>,
 }
 
 impl Default for AcceleratorConfig {
@@ -157,7 +164,6 @@ impl Default for AcceleratorConfig {
             lane_gating: false,
             cwp_lane_efficiency: 0.8,
             audit: false,
-            metrics: None,
         }
     }
 }
@@ -165,11 +171,13 @@ impl Default for AcceleratorConfig {
 impl AcceleratorConfig {
     /// Validates the configuration, returning
     /// [`SparseError::InvalidConfig`] for values that would otherwise panic
-    /// deep inside construction (`num_pes == 0` in `PeArray`) or silently
-    /// corrupt utilisation math (a NaN, non-positive or >1 CWP lane
-    /// efficiency). The memory side is delegated to [`MemConfig::validate`]
-    /// (line-granular DMB capacity, non-zero MSHR/LSQ, demand-priority
-    /// prefetch cap). Called by [`crate::sim::run_gcn_layer_prepared`]
+    /// deep inside construction (`num_pes == 0` in `PeArray`), silently
+    /// wrap cycle counters (`num_pes` above [`MAX_PE_LANES`], `mac_latency`
+    /// above [`MAX_MAC_LATENCY`]) or corrupt utilisation math (a NaN,
+    /// non-positive or >1 CWP lane efficiency). The memory side is
+    /// delegated to [`MemConfig::validate`] (line-granular DMB capacity,
+    /// non-zero MSHR/LSQ, demand-priority prefetch cap, bounded prefetch
+    /// degree). Called by [`crate::sim::run_gcn_layer_prepared`]
     /// before any hardware state is built; configuration generators — the
     /// DSE in particular — rely on it instead of re-checking knob
     /// combinations themselves.
@@ -180,28 +188,28 @@ impl AcceleratorConfig {
                 "num_pes must be at least 1".to_string(),
             ));
         }
+        if self.num_pes > MAX_PE_LANES {
+            return Err(SparseError::InvalidConfig(format!(
+                "num_pes (MAC lanes) must be at most {MAX_PE_LANES}, got {}",
+                self.num_pes
+            )));
+        }
         if self.mac_latency == 0 {
             return Err(SparseError::InvalidConfig(
                 "mac_latency must be at least 1 cycle".to_string(),
             ));
+        }
+        if self.mac_latency > MAX_MAC_LATENCY {
+            return Err(SparseError::InvalidConfig(format!(
+                "mac_latency must be at most {MAX_MAC_LATENCY} cycles, got {}",
+                self.mac_latency
+            )));
         }
         let e = self.cwp_lane_efficiency;
         if !e.is_finite() || e <= 0.0 || e > 1.0 {
             return Err(SparseError::InvalidConfig(format!(
                 "cwp_lane_efficiency must be a finite value in (0, 1], got {e}"
             )));
-        }
-        if let Some(m) = &self.metrics {
-            if m.sample_every == 0 {
-                return Err(SparseError::InvalidConfig(
-                    "metrics sample_every must be at least 1 cycle".to_string(),
-                ));
-            }
-            if m.capacity == 0 {
-                return Err(SparseError::InvalidConfig(
-                    "metrics capacity must be at least 1 sample".to_string(),
-                ));
-            }
         }
         Ok(())
     }
@@ -238,8 +246,8 @@ impl AcceleratorConfig {
     /// — the identity the DSE memoises evaluations by.
     ///
     /// Host-observability knobs are deliberately excluded: `audit`,
-    /// `metrics`, `mem.trace` and `mem.trace_capacity` are pinned
-    /// cycle-identical by the audit/trace/metrics tests, so two
+    /// `mem.trace` and `mem.trace_capacity` are pinned
+    /// cycle-identical by the audit and trace tests, so two
     /// configs differing only there produce the same [`crate::stats::SimReport`]
     /// and may legitimately share a memo entry. Everything that can move a
     /// cycle or a byte is folded in (floats by IEEE bit pattern, enums by
@@ -496,16 +504,11 @@ mod tests {
 
     #[test]
     fn content_hash_ignores_host_observability_knobs() {
-        // audit / tracing / metrics are pinned
-        // cycle-identical, so two configs differing only there share a
-        // memo entry by design.
+        // audit / tracing are pinned cycle-identical, so two configs
+        // differing only there share a memo entry by design.
         let base = AcceleratorConfig::default();
         let mut host = AcceleratorConfig {
             audit: true,
-            metrics: Some(hymm_mem::metrics::MetricsConfig {
-                sample_every: 512,
-                capacity: 64,
-            }),
             ..base.clone()
         };
         host.mem.trace = true;
@@ -531,28 +534,6 @@ mod tests {
         assert_ne!(a, combine_hashes(&[1, 2, 4]));
         // A zero word still advances the state (tag byte per position).
         assert_ne!(combine_hashes(&[0]), combine_hashes(&[0, 0]));
-    }
-
-    #[test]
-    fn rejects_degenerate_metrics_config() {
-        for (every, cap, want) in [(0u64, 64usize, "sample_every"), (64, 0, "capacity")] {
-            let c = AcceleratorConfig {
-                metrics: Some(hymm_mem::metrics::MetricsConfig {
-                    sample_every: every,
-                    capacity: cap,
-                }),
-                ..AcceleratorConfig::default()
-            };
-            match c.validate() {
-                Err(SparseError::InvalidConfig(msg)) => assert!(msg.contains(want), "msg: {msg}"),
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
-        }
-        let c = AcceleratorConfig {
-            metrics: Some(hymm_mem::metrics::MetricsConfig::default()),
-            ..AcceleratorConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

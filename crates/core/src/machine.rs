@@ -7,7 +7,6 @@
 //! [`crate::stats::SimReport`] at the end.
 
 use crate::config::AcceleratorConfig;
-use crate::metrics::{GaugeSnapshot, MetricsSampler};
 use crate::pe::PeArray;
 use crate::stats::{PartialStats, PhaseReport, SimReport, StallBreakdown};
 use hymm_mem::dram::AccessPattern;
@@ -27,22 +26,6 @@ struct StallCounters {
     dram_busy: u64,
     lsq_stall: u64,
     smq_wait: u64,
-}
-
-impl StallCounters {
-    /// The counters in [`StallBreakdown::attribute`] argument order — the
-    /// form the metrics sampler consumes.
-    fn raw(&self) -> crate::metrics::RawStalls {
-        [
-            self.mac,
-            self.merge,
-            self.dmb_miss,
-            self.prefetch_late,
-            self.dram_busy,
-            self.lsq_stall,
-            self.smq_wait,
-        ]
-    }
 }
 
 /// Bound on the `smq-stream` hint queue: engines may push hints faster than
@@ -85,9 +68,6 @@ pub struct Machine {
     prefetch_hints: VecDeque<LineAddr>,
     /// Ring for machine-level (phase) events; `None` when tracing is off.
     trace: Option<Box<TraceRing>>,
-    /// Interval metrics sampler; `None` when sampling is off. Like the
-    /// trace ring, the disabled path is one pointer-null test per hook.
-    metrics: Option<Box<MetricsSampler>>,
 }
 
 impl Machine {
@@ -109,29 +89,7 @@ impl Machine {
             smq_trace: TraceData::new(),
             prefetch_hints: VecDeque::new(),
             trace: config.mem.trace_ring(),
-            metrics: config.metrics.map(|m| Box::new(MetricsSampler::new(m))),
         }
-    }
-
-    /// Interval-sampling hook, called from every timed access path with
-    /// the presented cycle. The fast path (no boundary crossed, or
-    /// sampling off) is a null test plus one compare; only a crossed
-    /// boundary pays for a full gauge capture. Observation-only: nothing
-    /// here feeds back into timing.
-    fn metrics_observe(&mut self, now: u64) {
-        let Some(sampler) = self.metrics.as_deref() else {
-            return;
-        };
-        if now < sampler.next_boundary() {
-            return;
-        }
-        let raw = self.stall_counters().raw();
-        let snap = self.stall_snapshot.raw();
-        let g = GaugeSnapshot::capture(&self.dmb, &self.dram, &self.lsq, &self.pe);
-        self.metrics
-            .as_deref_mut()
-            .expect("checked above")
-            .observe(now, raw, snap, &g);
     }
 
     /// Current totals of every stall-source counter.
@@ -226,7 +184,6 @@ impl Machine {
     /// fill lands on the channel.
     pub fn load_line(&mut self, now: u64, addr: hymm_mem::LineAddr, pattern: AccessPattern) -> u64 {
         use hymm_mem::lsq::LoadPath;
-        self.metrics_observe(now);
         if self.config.lsq_forwarding {
             match self.lsq.load(now, addr) {
                 LoadPath::Forwarded { ready } => ready,
@@ -257,7 +214,6 @@ impl Machine {
         pattern: AccessPattern,
     ) -> (u64, bool) {
         use hymm_mem::lsq::LoadPath;
-        self.metrics_observe(now);
         if self.config.lsq_forwarding {
             match self.lsq.load(now, addr) {
                 LoadPath::Forwarded { ready } => (ready, self.dmb.contains(addr)),
@@ -285,7 +241,6 @@ impl Machine {
         allocate: bool,
         pattern: AccessPattern,
     ) -> u64 {
-        self.metrics_observe(now);
         let drained = if self.config.lsq_forwarding {
             self.lsq.store(now, addr, now)
         } else {
@@ -299,9 +254,6 @@ impl Machine {
     /// Records a finished phase, attributing the DMB hit and DRAM traffic
     /// counters accumulated since the previous phase boundary to it.
     pub fn record_phase(&mut self, name: &'static str, start: u64, end: u64, nnz: u64) {
-        // Flush interval boundaries up to the phase end against the *old*
-        // attribution window before the phase is folded in below.
-        self.metrics_observe(end);
         let hits_now = self.dmb.hit_stats();
         let dram_now = self.dram.stats().total().total_bytes();
         let delta = hymm_mem::stats::HitStats {
@@ -334,9 +286,6 @@ impl Machine {
         self.hit_snapshot = hits_now;
         self.dram_snapshot = dram_now;
         self.stall_snapshot = counters;
-        if let Some(sampler) = self.metrics.as_deref_mut() {
-            sampler.phase_recorded(&stalls, end);
-        }
         if let Some(t) = self.trace.as_deref_mut() {
             t.push(TraceEvent {
                 track: Track::Phase,
@@ -375,14 +324,6 @@ impl Machine {
             stalls.merge(&p.stalls);
         }
         stalls.idle += cycles.saturating_sub(stalls.total());
-        // Close the metrics series exactly against the report waterfall
-        // (before `into_stats` consumes the DRAM model below).
-        let metrics = self.metrics.take().map(|sampler| {
-            let raw = self.stall_counters().raw();
-            let snap = self.stall_snapshot.raw();
-            let g = GaugeSnapshot::capture(&self.dmb, &self.dram, &self.lsq, &self.pe);
-            Box::new(sampler.close(cycles, &stalls, raw, snap, &g))
-        });
         // Collect every component's event ring into one flat trace. The DRAM
         // ring must drain before `into_stats` consumes the model below.
         let trace = if self.config.mem.trace {
@@ -417,7 +358,6 @@ impl Machine {
             stalls,
             phases: self.phases,
             trace,
-            metrics,
         };
         if audit {
             crate::audit::enforce("report", &crate::audit::check_report(&report));

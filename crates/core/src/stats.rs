@@ -6,7 +6,6 @@
 //! the per-matrix DRAM access breakdown (Fig. 11).
 
 use hymm_mem::lsq::LsqStats;
-use hymm_mem::metrics::MetricsData;
 use hymm_mem::stats::HitStats;
 use hymm_mem::trace::TraceData;
 use hymm_mem::{PrefetchStats, TrafficStats};
@@ -234,10 +233,6 @@ pub struct SimReport {
     /// Structured event trace, present only when `MemConfig::trace` was set.
     /// Boxed so the common (disabled) path costs one pointer.
     pub trace: Option<Box<TraceData>>,
-    /// Interval-sampled time series, present only when
-    /// [`crate::config::AcceleratorConfig::metrics`] was set. Boxed like
-    /// the trace so the common (disabled) path costs one pointer.
-    pub metrics: Option<Box<MetricsData>>,
 }
 
 impl SimReport {
@@ -261,7 +256,6 @@ impl SimReport {
             stalls: StallBreakdown::default(),
             phases: Vec::new(),
             trace: None,
-            metrics: None,
         }
     }
 
@@ -310,11 +304,6 @@ impl SimReport {
             self.trace
                 .get_or_insert_with(Default::default)
                 .extend_shifted(other_trace, base);
-        }
-        if let Some(other_metrics) = other.metrics.as_deref() {
-            self.metrics
-                .get_or_insert_with(Default::default)
-                .extend_shifted(other_metrics, base);
         }
     }
 }
@@ -406,50 +395,5 @@ mod tests {
         assert_eq!(a.mac_cycles, 3);
         assert_eq!(a.partials.peak_bytes, 100); // max, not sum
         assert_eq!(a.phases.len(), 1);
-    }
-
-    #[test]
-    fn merge_shifts_metrics_timestamps_like_traces() {
-        use hymm_mem::metrics::MetricsSample;
-        let mut a = SimReport::empty();
-        a.cycles = 1000;
-        let mut am = MetricsData::new(64);
-        am.samples.push(MetricsSample {
-            ts: 64,
-            stalls: [1, 0, 0, 0, 0, 0, 0, 0],
-            ..MetricsSample::default()
-        });
-        a.metrics = Some(Box::new(am));
-        let mut b = SimReport::empty();
-        b.cycles = 500;
-        let mut bm = MetricsData::new(64);
-        bm.samples.push(MetricsSample {
-            ts: 128,
-            stalls: [0, 0, 2, 0, 0, 0, 0, 0],
-            ..MetricsSample::default()
-        });
-        bm.dropped = 3;
-        b.metrics = Some(Box::new(bm));
-        a.merge(&b);
-        let m = a.metrics.as_deref().expect("series survives merge");
-        // The second layer's boundary lands after the first layer's last
-        // cycle, exactly like trace timestamps.
-        assert_eq!(
-            m.samples.iter().map(|s| s.ts).collect::<Vec<_>>(),
-            [64, 1000 + 128]
-        );
-        assert_eq!(m.dropped, 3);
-        assert_eq!(m.stall_sums()[0], 1);
-        assert_eq!(m.stall_sums()[2], 2);
-
-        // A metrics-less report absorbing a metrics-carrying one adopts
-        // the series (shifted); the reverse leaves `None` untouched.
-        let mut c = SimReport::empty();
-        c.cycles = 10;
-        c.merge(&a);
-        assert!(c.metrics.is_some());
-        let mut d = SimReport::empty();
-        d.merge(&SimReport::empty());
-        assert!(d.metrics.is_none());
     }
 }

@@ -63,6 +63,12 @@ pub struct MemConfig {
     pub trace_capacity: usize,
 }
 
+/// Largest accepted [`MemConfig::prefetch_degree`]. The `next-line`
+/// prefetcher issues one candidate per step on every demand miss, so an
+/// unbounded degree stalls the simulation; 64 matches the engines' hint
+/// queue depth and is far above any preset, DSE point or sweep (at most 8).
+pub const MAX_PREFETCH_DEGREE: usize = 64;
+
 impl Default for MemConfig {
     fn default() -> Self {
         MemConfig {
@@ -100,7 +106,9 @@ impl MemConfig {
     /// - `lsq_entries == 0` (no load could ever be queued);
     /// - `prefetch_mshr_cap >= mshr_count` (the demand-priority contract
     ///   reserves at least one MSHR for demand misses; the DMB used to clamp
-    ///   this silently, which configuration generators cannot observe).
+    ///   this silently, which configuration generators cannot observe);
+    /// - `prefetch_degree > MAX_PREFETCH_DEGREE` (each demand miss would
+    ///   loop that many times).
     ///
     /// Config generators — the DSE in particular — rely on this instead of
     /// re-checking knob combinations themselves.
@@ -130,6 +138,12 @@ impl MemConfig {
             return Err(SparseError::InvalidConfig(format!(
                 "prefetch_mshr_cap ({}) must leave at least one of the {} MSHRs for demand misses",
                 self.prefetch_mshr_cap, self.mshr_count
+            )));
+        }
+        if self.prefetch_degree > MAX_PREFETCH_DEGREE {
+            return Err(SparseError::InvalidConfig(format!(
+                "prefetch_degree must be at most {MAX_PREFETCH_DEGREE}, got {}",
+                self.prefetch_degree
             )));
         }
         Ok(())

@@ -1317,14 +1317,6 @@ impl Dmb {
         self.mshr_merges
     }
 
-    /// MSHRs currently holding an outstanding miss (demand or prefetch) —
-    /// the point-in-time gauge the metrics sampler records; the
-    /// trace-event `occupancy` field carries the same value per
-    /// transition.
-    pub fn mshr_occupancy(&self) -> usize {
-        self.mshr_live
-    }
-
     /// Requests that stalled waiting for a free MSHR.
     pub fn mshr_stalls(&self) -> u64 {
         self.mshr_stalls

@@ -49,10 +49,6 @@ pub struct Dram {
     random_penalty: u64,
     channel_busy: Vec<u64>,
     busy_cycles: u64,
-    /// Cumulative transfer cycles booked per channel — what the metrics
-    /// sampler differences to compute per-channel busy fractions
-    /// (`channel_busy` holds busy-*until* timestamps, not durations).
-    channel_busy_cycles: Vec<u64>,
     stats: TrafficStats,
     trace: Option<Box<TraceRing>>,
 }
@@ -66,7 +62,6 @@ impl Dram {
             random_penalty: config.dram_random_penalty,
             channel_busy: vec![0; config.dram_channels.max(1)],
             busy_cycles: 0,
-            channel_busy_cycles: vec![0; config.dram_channels.max(1)],
             stats: TrafficStats::new(),
             trace: config.trace_ring(),
         }
@@ -114,7 +109,6 @@ impl Dram {
         }
         self.channel_busy[idx] = start + transfer;
         self.busy_cycles += transfer;
-        self.channel_busy_cycles[idx] += transfer;
         if let Some(t) = self.trace.as_deref_mut() {
             t.push(TraceEvent {
                 track: Track::DramChannel(idx as u16),
@@ -161,12 +155,6 @@ impl Dram {
     /// bandwidth-bound component of the stall waterfall).
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
-    }
-
-    /// Cumulative transfer cycles per channel (indexes parallel to
-    /// [`Self::channels`]). Sums to [`Self::busy_cycles`].
-    pub fn channel_busy_cycles(&self) -> &[u64] {
-        &self.channel_busy_cycles
     }
 
     /// Moves any buffered trace events into `into` (no-op when tracing is
@@ -323,25 +311,27 @@ mod tests {
         d.read(0, MatrixKind::Weight, 64, AccessPattern::Random); // 3
         d.write(0, MatrixKind::Output, 640, AccessPattern::Sequential); // 10
         assert_eq!(d.busy_cycles(), 14);
-        assert_eq!(d.channel_busy_cycles(), &[14]);
     }
 
     #[test]
-    fn per_channel_busy_cycles_sum_to_total() {
+    fn reads_pick_the_earliest_free_channel() {
         let cfg = MemConfig {
             dram_channels: 2,
             ..MemConfig::default()
         };
         let mut d = Dram::new(&cfg);
-        // First transfer lands on channel 0, second on the (now freer)
-        // channel 1, third back on whichever frees first.
-        d.read(0, MatrixKind::Weight, 640, AccessPattern::Sequential); // 10
-        d.read(0, MatrixKind::Weight, 64, AccessPattern::Sequential); // 1
-        d.read(0, MatrixKind::Weight, 128, AccessPattern::Sequential); // 2
-        let per = d.channel_busy_cycles();
-        assert_eq!(per.len(), 2);
-        assert_eq!(per.iter().sum::<u64>(), d.busy_cycles());
-        assert_eq!(per, &[10, 3]);
+        let lat = cfg.dram_latency;
+        // First transfer lands on channel 0 (busy 0..10), second on the
+        // idle channel 1 (0..1), third on channel 1 again because it frees
+        // first (1..3). Channel 0 would have finished it at 12, not 3.
+        let ready = [
+            d.read(0, MatrixKind::Weight, 640, AccessPattern::Sequential),
+            d.read(0, MatrixKind::Weight, 64, AccessPattern::Sequential),
+            d.read(0, MatrixKind::Weight, 128, AccessPattern::Sequential),
+        ];
+        assert_eq!(ready, [10 + lat, 1 + lat, 3 + lat]);
+        assert_eq!(d.busy_until(), 10);
+        assert_eq!(d.busy_cycles(), 13);
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //!   pointer/index/value data from DRAM through its 4 KB pointer and 12 KB
 //!   index buffers (paper §IV-A);
 //! - [`address`] / [`stats`] — line addressing by matrix kind and the
-//!   traffic/hit-rate counters every experiment reads.
+//!   traffic/hit-rate counters every experiment reads;
+//! - [`trace`] — opt-in, observation-only per-component event rings;
+//! - [`metrics`] — a named counter/gauge/histogram registry with
+//!   Prometheus text rendering, filled from end-of-run reports (it reads no
+//!   component state during a run).
 //!
 //! Timing convention: all components exchange **absolute cycle numbers**.
 //! A call like `dmb.read(now, addr, &mut dram)` means "the engine presents
@@ -46,7 +50,7 @@ pub use config::MemConfig;
 pub use dmb::Dmb;
 pub use dram::Dram;
 pub use lsq::Lsq;
-pub use metrics::{MetricKind, MetricsConfig, MetricsData, MetricsRegistry, MetricsSample};
+pub use metrics::{MetricKind, MetricsRegistry};
 pub use prefetch::{PrefetchDrop, PrefetchPolicy, PrefetchStats};
 pub use smq::SmqStream;
 pub use stats::TrafficStats;

@@ -1,212 +1,12 @@
-//! Interval-sampled time-series metrics and a small named-metrics registry.
+//! A small named-metrics registry with Prometheus text-exposition
+//! rendering, and a validator for the dialect it emits.
 //!
-//! This module holds the **data side** of the telemetry subsystem: the
-//! sample record, the bounded ring that stores one series, the mergeable
-//! [`MetricsData`] that rides in simulation reports, and a
-//! [`MetricsRegistry`] of named counters/gauges/histograms with Prometheus
-//! text-exposition rendering. The **sampler** that knows how to attribute
-//! stall cycles lives in `hymm-core::metrics` (it needs the core crate's
-//! `StallBreakdown`); components here only expose cheap counter/gauge
-//! accessors for it to read.
-//!
-//! Like tracing (see [`crate::trace`]), the whole subsystem is
-//! observation-only: sampling is off by default and the disabled path is
-//! bit-identical to a build without it.
-
-use std::collections::VecDeque;
-
-/// Number of stall classes in a sample. Mirrors
-/// `hymm_core::stats::StallBreakdown::CLASSES` — the sampler asserts the
-/// two agree at construction time.
-pub const STALL_CLASSES: usize = 8;
-
-/// Number of matrix kinds tracked per-class ([`crate::MatrixKind::ALL`]).
-pub const KIND_CLASSES: usize = 5;
-
-/// Per-channel DRAM busy fractions recorded per sample. Channels beyond
-/// this many are folded into the last slot (the config default is a single
-/// channel; the DSE grid tops out at 4).
-pub const MAX_SAMPLED_CHANNELS: usize = 4;
-
-/// Sampling knobs, carried as `AcceleratorConfig::metrics` (`None` = off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricsConfig {
-    /// Interval between samples in cycles. The sampler emits one sample
-    /// per elapsed interval; when one transaction crosses several
-    /// boundaries, several intervals are emitted at once from counter
-    /// deltas (back-filling).
-    pub sample_every: u64,
-    /// Ring capacity in samples. Oldest samples are dropped (and counted)
-    /// once the ring fills.
-    pub capacity: usize,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig {
-            sample_every: 4096,
-            capacity: 1 << 16,
-        }
-    }
-}
-
-/// One interval sample: per-class stall **deltas** over the interval plus
-/// component gauges observed at the interval boundary.
-///
-/// Stall deltas are signed: the sampler estimates the in-progress phase's
-/// waterfall from raw counters, and a later exact close-out may revise an
-/// earlier over-estimate downward, so an individual delta can be negative.
-/// The per-class sums over a whole series are exact (audit-enforced).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MetricsSample {
-    /// Cycle of the interval boundary this sample closes.
-    pub ts: u64,
-    /// Stall-class cycle deltas over the interval, in
-    /// `StallBreakdown::CLASSES` order.
-    pub stalls: [i64; STALL_CLASSES],
-    /// DMB hit rate over the interval (reads + writes), `1.0` when idle.
-    pub dmb_hit_rate: f32,
-    /// DMB lines filled during the interval.
-    pub dmb_fills: u64,
-    /// Resident DMB lines at the boundary.
-    pub dmb_occupancy: u32,
-    /// Resident DMB lines per matrix kind at the boundary
-    /// ([`crate::MatrixKind::ALL`] order).
-    pub dmb_kind_occupancy: [u32; KIND_CLASSES],
-    /// Live MSHRs at the boundary.
-    pub mshr_occupancy: u32,
-    /// Per-channel DRAM busy fraction over the interval (may transiently
-    /// exceed 1.0 under lazy sampling — see DESIGN.md §14).
-    pub dram_busy_frac: [f32; MAX_SAMPLED_CHANNELS],
-    /// DRAM channels actually present (how many `dram_busy_frac` slots are
-    /// meaningful).
-    pub dram_channels: u8,
-    /// DRAM bytes moved per cycle over the interval.
-    pub dram_bytes_per_cycle: f32,
-    /// LSQ occupancy at the boundary.
-    pub lsq_depth: u32,
-    /// PE issue slots consumed during the interval (MAC + merge).
-    pub pe_issues: u64,
-    /// Mean MAC-lane utilisation over the interval's issue slots, `[0,1]`.
-    pub pe_lane_util: f32,
-    /// Prefetch lines issued during the interval.
-    pub prefetch_issued: u64,
-    /// Prefetched lines demand-touched during the interval.
-    pub prefetch_useful: u64,
-    /// Useful-but-late prefetches during the interval.
-    pub prefetch_late: u64,
-}
-
-/// Bounded drop-oldest buffer for one metrics series, mirroring
-/// [`crate::trace::TraceRing`].
-#[derive(Debug, Clone)]
-pub struct MetricsRing {
-    samples: VecDeque<MetricsSample>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl MetricsRing {
-    /// Creates a ring holding at most `capacity` samples (min 1).
-    pub fn new(capacity: usize) -> MetricsRing {
-        let capacity = capacity.max(1);
-        MetricsRing {
-            samples: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends a sample, dropping (and counting) the oldest when full.
-    pub fn push(&mut self, sample: MetricsSample) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(sample);
-    }
-
-    /// Buffered sample count.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Samples dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Mutable access to the newest sample (the sampler folds its exact
-    /// close-out correction into a sample already emitted at the same
-    /// timestamp instead of pushing a duplicate).
-    pub fn last_mut(&mut self) -> Option<&mut MetricsSample> {
-        self.samples.back_mut()
-    }
-
-    /// Moves the buffered samples into `into`, accumulating the drop count
-    /// and leaving the ring empty.
-    pub fn drain_into(&mut self, into: &mut MetricsData) {
-        into.samples.extend(self.samples.drain(..));
-        into.dropped += self.dropped;
-        self.dropped = 0;
-    }
-}
-
-/// A drained, mergeable metrics series — the form that rides in
-/// `SimReport::metrics` and that exporters consume.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsData {
-    /// Samples in timestamp order.
-    pub samples: Vec<MetricsSample>,
-    /// Samples dropped at the ring (capacity overflow). When non-zero the
-    /// per-class stall sums are no longer exact and the audit layer skips
-    /// its metrics-accounting check.
-    pub dropped: u64,
-    /// The interval the series was sampled at.
-    pub sample_every: u64,
-}
-
-impl MetricsData {
-    /// Creates an empty series tagged with its sampling interval.
-    pub fn new(sample_every: u64) -> MetricsData {
-        MetricsData {
-            sample_every,
-            ..MetricsData::default()
-        }
-    }
-
-    /// Appends `other`'s samples with timestamps shifted by `base` —
-    /// the report-merge convention shared with
-    /// [`crate::trace::TraceData::extend_shifted`].
-    pub fn extend_shifted(&mut self, other: &MetricsData, base: u64) {
-        self.samples
-            .extend(other.samples.iter().map(|s| MetricsSample {
-                ts: s.ts + base,
-                ..*s
-            }));
-        self.dropped += other.dropped;
-        if self.sample_every == 0 {
-            self.sample_every = other.sample_every;
-        }
-    }
-
-    /// Per-class sums of the stall deltas over the whole series. Equal to
-    /// the report's end-of-run waterfall exactly when `dropped == 0`.
-    pub fn stall_sums(&self) -> [i64; STALL_CLASSES] {
-        let mut out = [0i64; STALL_CLASSES];
-        for s in &self.samples {
-            for (acc, d) in out.iter_mut().zip(s.stalls) {
-                *acc += d;
-            }
-        }
-        out
-    }
-}
+//! [`MetricsRegistry`] holds named counters, gauges and histograms and
+//! renders them in registration order, so the output is deterministic for
+//! a deterministic simulation. `hymm-core::metrics` fills it from finished
+//! simulation reports; `hymm-serve` adds its own server counters and
+//! serves the result on `/metrics`. [`validate_prometheus`] checks such a
+//! scrape without a real Prometheus in the loop.
 
 /// Metric families a [`MetricsRegistry`] can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,8 +62,8 @@ struct Family {
 }
 
 /// A registry of named counters, gauges and histograms with Prometheus
-/// text-exposition rendering — the substrate a future `hymm-serve` scrape
-/// endpoint serves directly.
+/// text-exposition rendering — what `hymm-serve`'s `/metrics` endpoint
+/// serves.
 ///
 /// Families render in registration order and label sets in first-touch
 /// order, so output is deterministic for a deterministic simulation.
@@ -587,64 +387,6 @@ fn validate_labels(mut body: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(ts: u64) -> MetricsSample {
-        MetricsSample {
-            ts,
-            stalls: [1, 0, 2, 0, 0, 0, 0, 3],
-            ..MetricsSample::default()
-        }
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let mut r = MetricsRing::new(2);
-        r.push(sample(1));
-        r.push(sample(2));
-        r.push(sample(3));
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 1);
-        let mut d = MetricsData::new(64);
-        r.drain_into(&mut d);
-        assert_eq!(d.samples.iter().map(|s| s.ts).collect::<Vec<_>>(), [2, 3]);
-        assert_eq!(d.dropped, 1);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0);
-    }
-
-    #[test]
-    fn zero_capacity_ring_still_holds_one() {
-        let mut r = MetricsRing::new(0);
-        r.push(sample(7));
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn extend_shifted_offsets_timestamps_and_adopts_interval() {
-        let mut a = MetricsData::default();
-        let mut b = MetricsData::new(128);
-        b.samples.push(sample(10));
-        b.dropped = 2;
-        a.extend_shifted(&b, 1000);
-        assert_eq!(a.samples[0].ts, 1010);
-        assert_eq!(a.dropped, 2);
-        assert_eq!(a.sample_every, 128);
-        // An already-tagged series keeps its own interval.
-        a.extend_shifted(&MetricsData::new(999), 0);
-        assert_eq!(a.sample_every, 128);
-    }
-
-    #[test]
-    fn stall_sums_accumulate_per_class() {
-        let mut d = MetricsData::new(64);
-        d.samples.push(sample(64));
-        d.samples.push(MetricsSample {
-            ts: 128,
-            stalls: [-1, 4, 0, 0, 0, 0, 0, 1],
-            ..MetricsSample::default()
-        });
-        assert_eq!(d.stall_sums(), [0, 4, 2, 0, 0, 0, 0, 4]);
-    }
 
     #[test]
     fn registry_renders_prometheus_text() {

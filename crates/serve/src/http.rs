@@ -5,7 +5,7 @@
 //! request-line + headers + `Content-Length` bodies, keep-alive by default,
 //! no chunked transfer, no TLS. [`read_request`] and [`read_response`] parse
 //! the two directions (server and load-generator side respectively);
-//! [`Response`] renders the wire bytes. See DESIGN.md §15 for why this is
+//! [`Response`] renders the wire bytes. See DESIGN.md §14 for why this is
 //! deliberate rather than a missing dependency.
 
 use std::io::{self, BufRead, Write};

@@ -295,6 +295,20 @@ mod tests {
                 r#"{"dataset": "CR", "prefetch_mshr_cap": 0}"#,
                 "field \"prefetch_mshr_cap\" must be at least 1",
             ),
+            // Above their maximum, these would park a worker in the
+            // next-line prefetch loop or wrap the PE cycle counters.
+            (
+                r#"{"dataset": "CR", "prefetch": "next-line", "prefetch_degree": 8000000000000000}"#,
+                "prefetch_degree must be at most 64",
+            ),
+            (
+                r#"{"dataset": "CR", "mac_latency": 8000000000000000}"#,
+                "mac_latency must be at most 256",
+            ),
+            (
+                r#"{"dataset": "CR", "pe_lanes": 8000000000000000}"#,
+                "num_pes (MAC lanes) must be at most 1024",
+            ),
             (r#"{"dataset": "CR", "scale": 1}"#, "at least 2"),
             (r#"{"dataset": "CR", "preset": "huge"}"#, "unknown preset"),
             (

@@ -78,10 +78,32 @@ fn end_to_end_simulate_stats_and_metrics() {
     let text = metrics.text();
     let families = hymm_mem::metrics::validate_prometheus(&text)
         .unwrap_or_else(|e| panic!("invalid Prometheus exposition: {e}\n{text}"));
-    assert!(
-        families >= 11,
-        "server families plus report families, got {families}"
+    // The exact inventory: 11 server families, then the 5 end-of-run
+    // report families, in registration order.
+    let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    assert_eq!(
+        types,
+        [
+            "# TYPE hymm_serve_requests_total counter",
+            "# TYPE hymm_serve_simulate_requests_total counter",
+            "# TYPE hymm_serve_simulations_total counter",
+            "# TYPE hymm_serve_dedupe_coalesced_total counter",
+            "# TYPE hymm_serve_prepared_cache_hits_total counter",
+            "# TYPE hymm_serve_prepared_cache_misses_total counter",
+            "# TYPE hymm_serve_prepared_cache_evictions_total counter",
+            "# TYPE hymm_serve_prepared_cache_entries gauge",
+            "# TYPE hymm_serve_queue_depth gauge",
+            "# TYPE hymm_serve_inflight gauge",
+            "# TYPE hymm_serve_sim_seconds_total counter",
+            "# TYPE hymm_cycles_total counter",
+            "# TYPE hymm_stall_cycles_total counter",
+            "# TYPE hymm_dram_bytes_total counter",
+            "# TYPE hymm_dmb_hit_rate gauge",
+            "# TYPE hymm_alu_utilization gauge",
+        ],
+        "{text}"
     );
+    assert_eq!(families, types.len());
     assert!(
         text.contains("hymm_serve_prepared_cache_hits_total 2"),
         "{text}"
