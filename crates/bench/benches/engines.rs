@@ -3,7 +3,7 @@
 //!
 //! These measure *simulator throughput*, complementing the `fig7` binary
 //! which reports *simulated cycles*: run `cargo bench -p hymm-bench` for
-//! statistical timing, `cargo run --release -p hymm-bench --bin fig7` for
+//! statistical timing, `cargo run --release -p hymm-bench -- fig7` for
 //! the paper's numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

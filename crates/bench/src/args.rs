@@ -1,20 +1,21 @@
-//! Minimal command-line conventions shared by every experiment binary.
+//! The experiment flags shared by the `hymm-bench` subcommands.
 
 use hymm_core::config::Preset;
 use hymm_graph::datasets::Dataset;
 use hymm_mem::PrefetchPolicy;
 use std::fmt;
 
-/// Usage string printed by `--help` and alongside argument errors.
-pub const USAGE: &str = "usage: <bin> [--scale N] [--datasets CR,AP,AC,CS,PH,FR,YP] [--threads N] \
+/// The flags [`BenchArgs::parse`] accepts, as printed in a subcommand's
+/// usage line.
+pub const FLAGS: &str = "[--scale N] [--datasets CR,AP,AC,CS,PH,FR,YP] [--threads N] \
      [--audit] [--stalls] [--preset default|tuned] \
      [--prefetch off|next-line|smq-stream] [--prefetch-degree N] \
      [--prefetch-mshr-cap K] [--pe-lanes N] [--mac-latency N] \
      [--mac-pipeline] [--lane-gating] \
      [--quiet] [-v|--verbose]";
 
-/// A malformed command line. Binaries print this (plus [`USAGE`]) and exit
-/// with status 2.
+/// A malformed command line. `hymm-bench` prints this plus the subcommand's
+/// usage and exits with status 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArgError(String);
 
@@ -25,13 +26,11 @@ impl ArgError {
 }
 
 /// Parses a `CR,AP,...` dataset-abbreviation list (shared by `--datasets`
-/// here and in the `dse` binary's argument parser).
+/// here and in the `dse` subcommand's argument parser).
 pub(crate) fn parse_dataset_list(v: &str) -> Result<Vec<Dataset>, ArgError> {
     v.split(',')
         .map(|abbr| {
-            Dataset::ALL
-                .into_iter()
-                .find(|d| d.abbrev().eq_ignore_ascii_case(abbr.trim()))
+            Dataset::from_abbrev(abbr.trim())
                 .ok_or_else(|| ArgError::new(format!("unknown dataset {abbr:?}")))
         })
         .collect()
@@ -62,7 +61,7 @@ pub struct BenchArgs {
     pub stalls: bool,
     /// Named configuration preset applied before every individual knob
     /// override (`default` reproduces Table III; `tuned` is the best
-    /// iso-area-budget configuration found by the `dse` binary).
+    /// iso-area-budget configuration found by the `dse` subcommand).
     pub preset: Preset,
     /// Hardware-prefetch policy override on the DMB miss path (`None` =
     /// whatever the preset/config default says; `off` keeps timing
@@ -113,9 +112,8 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `--scale N`, `--datasets CR,AP,...`, `--threads N` and
-    /// `--audit` from an iterator of arguments (typically
-    /// `std::env::args().skip(1)`).
+    /// Parses the [`FLAGS`] from an iterator of arguments (a subcommand's
+    /// arguments, after its name).
     ///
     /// # Errors
     ///
@@ -135,8 +133,10 @@ impl BenchArgs {
                     let n: usize = v.parse().map_err(|_| {
                         ArgError::new(format!("--scale needs an integer, got {v:?}"))
                     })?;
-                    if n == 0 {
-                        return Err(ArgError::new("--scale must be at least 1"));
+                    // The graph generators need two nodes (as `hymm-sim`,
+                    // `dse` and serve requests require too).
+                    if n < 2 {
+                        return Err(ArgError::new("--scale must be at least 2"));
                     }
                     out.scale = Some(n);
                 }
@@ -226,10 +226,6 @@ impl BenchArgs {
                 "--lane-gating" => out.lane_gating = true,
                 "--quiet" => out.quiet = true,
                 "-v" | "--verbose" => out.verbose = true,
-                "--help" | "-h" => {
-                    println!("{USAGE}");
-                    std::process::exit(0);
-                }
                 other => {
                     return Err(ArgError::new(format!(
                         "unknown argument {other:?} (try --help)"
@@ -249,20 +245,6 @@ impl BenchArgs {
             .validate()
             .map_err(|e| ArgError::new(e.to_string()))?;
         Ok(out)
-    }
-
-    /// Parses from the process arguments; on a malformed command line prints
-    /// the error plus [`USAGE`] to stderr and exits with status 2. Also
-    /// applies the `--quiet`/`--verbose` selection to the process-wide
-    /// logger (see [`crate::log`]).
-    pub fn from_env() -> BenchArgs {
-        match BenchArgs::parse(std::env::args().skip(1)) {
-            Ok(args) => {
-                crate::log::set_level(args.log_level());
-                args
-            }
-            Err(e) => exit_usage(&e),
-        }
     }
 
     /// Logger level implied by the `--quiet`/`--verbose` flags.
@@ -294,8 +276,8 @@ impl BenchArgs {
     /// Builds the full accelerator configuration these arguments describe:
     /// the preset applied over Table III, then every individual knob
     /// override on top (so explicit flags always win), plus the audit
-    /// selection. Shared by the suite runner and the standalone
-    /// binaries so `--preset tuned` means the same thing everywhere.
+    /// selection. Shared by the suite runner and the other
+    /// subcommands so `--preset tuned` means the same thing everywhere.
     pub fn accelerator_config(&self) -> hymm_core::config::AcceleratorConfig {
         let mut config = hymm_core::config::AcceleratorConfig {
             audit: self.audit,
@@ -336,21 +318,6 @@ impl BenchArgs {
     }
 }
 
-/// Prints an argument error plus [`USAGE`] to stderr and exits with
-/// status 2 — shared by every binary's entry point.
-pub fn exit_usage(e: &ArgError) -> ! {
-    eprintln!("error: {e}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
-/// Prints a runtime error (one that is not a command-line problem, so
-/// [`USAGE`] would only add noise) to stderr and exits with status 2.
-pub fn exit_fatal(e: &dyn fmt::Display) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(2);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,7 +343,8 @@ mod tests {
     #[test]
     fn rejects_removed_scheduler_flag() {
         // There is one simulation core; the old core selector is an
-        // unknown argument like any other, so binaries exit 2 with usage.
+        // unknown argument like any other, so `hymm-bench` exits 2 with
+        // usage.
         let flag = concat!("--", "scheduler");
         for v in ["stepped", "event"] {
             let e = parse(&[flag, v]).unwrap_err();
@@ -386,7 +354,7 @@ mod tests {
                 "{e}"
             );
         }
-        assert!(!USAGE.contains(flag));
+        assert!(!FLAGS.contains(flag));
     }
 
     #[test]
@@ -422,9 +390,15 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_scale() {
-        let e = parse(&["--scale", "0"]).unwrap_err();
-        assert!(e.to_string().contains("at least 1"), "{e}");
+    fn rejects_scale_below_two() {
+        for n in ["0", "1"] {
+            let e = parse(&["--scale", n]).unwrap_err();
+            assert!(
+                e.to_string().contains("--scale must be at least 2"),
+                "{n}: {e}"
+            );
+        }
+        assert_eq!(parse(&["--scale", "2"]).unwrap().scale, Some(2));
     }
 
     #[test]

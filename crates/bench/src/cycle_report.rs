@@ -1,9 +1,5 @@
-//! Deterministic cycle report of the reference suite, written to
-//! `BENCH_cycles.json`.
-//!
-//! ```text
-//! cargo run --release -p hymm-bench --bin cycle_report -- [--threads N]
-//! ```
+//! `cycle_report`: the deterministic cycle report of the reference suite,
+//! written to `BENCH_cycles.json`.
 //!
 //! The report always describes the reference configuration (`--scale 600`,
 //! all seven datasets, Table III preset); every suite-shaping flag is
@@ -18,6 +14,7 @@
 //! default one per core) and at `--threads 1`. The two passes must produce
 //! identical simulation results before the file is written.
 
+use crate::{bench_args, fatal, Command};
 use hymm_bench::runner::results_match;
 use hymm_bench::{dse, pe_sweep, run_suite, BenchArgs, DatasetResults};
 use hymm_core::area::estimate_area;
@@ -27,6 +24,8 @@ use hymm_graph::datasets::Dataset;
 use hymm_mem::PrefetchPolicy;
 
 const PATH: &str = "BENCH_cycles.json";
+
+pub(crate) const FLAGS: &str = "[--threads N] [--quiet] [-v|--verbose]";
 
 /// The reference suite at `threads` workers.
 fn reference_suite(threads: usize) -> BenchArgs {
@@ -48,9 +47,7 @@ fn stall_classes(stalls: &StallBreakdown) -> String {
 }
 
 fn report_of<'a>(d: &'a DatasetResults, label: &str) -> &'a hymm_core::stats::SimReport {
-    &d.run(label)
-        .unwrap_or_else(|e| hymm_bench::args::exit_fatal(&e))
-        .report
+    &d.run(label).unwrap_or_else(|e| fatal(&e)).report
 }
 
 /// Simulates `suite` and the fixed reference points and renders the
@@ -163,13 +160,13 @@ fn build(suite: &BenchArgs) -> (Vec<DatasetResults>, String) {
     // PE sweep over the suite configuration with lane gating on, so the
     // table shows where the flexible VRF moves the mac-bound wall (the
     // 16x1 row is bit-identical to the default PE at the suite's uniform
-    // layer width of 16; `pe_sweep`'s own binary asserts that).
+    // layer width of 16; the `pe_sweep` subcommand asserts that).
     hymm_bench::progress!("[cycle_report] PE sweep (lanes x latency, gated) ...");
     let pe_rows = pe_sweep::sweep(&BenchArgs {
         lane_gating: true,
         ..suite.clone()
     })
-    .unwrap_or_else(|e| hymm_bench::args::exit_fatal(&e));
+    .unwrap_or_else(|e| fatal(&e));
 
     let datasets: Vec<String> = suite
         .datasets
@@ -193,8 +190,8 @@ fn build(suite: &BenchArgs) -> (Vec<DatasetResults>, String) {
     (results, json)
 }
 
-fn main() {
-    let args = BenchArgs::from_env();
+pub(crate) fn run(cmd: &Command, raw: Vec<String>) {
+    let args = bench_args(cmd, raw);
     let accepted = BenchArgs {
         threads: args.threads,
         quiet: args.quiet,
@@ -202,12 +199,10 @@ fn main() {
         ..BenchArgs::default()
     };
     if args != accepted {
-        eprintln!(
-            "error: cycle_report always describes the reference configuration \
-             (--scale 600, all seven datasets, Table III preset)"
+        cmd.fail(
+            &"cycle_report always describes the reference configuration \
+              (--scale 600, all seven datasets, Table III preset)",
         );
-        eprintln!("usage: cycle_report [--threads N] [--quiet] [-v|--verbose]");
-        std::process::exit(2);
     }
     let threads = args.worker_threads();
 
@@ -219,7 +214,7 @@ fn main() {
         "thread count changed simulation results — timing invariance violated"
     );
 
-    std::fs::write(PATH, &json).unwrap_or_else(|e| hymm_bench::args::exit_fatal(&e));
+    std::fs::write(PATH, &json).unwrap_or_else(|e| fatal(&e));
     print!("{json}");
     println!("wrote {PATH}");
 }

@@ -1,4 +1,5 @@
-//! Bounded-iteration differential fuzzer for the dataflow engines.
+//! `fuzz_oracle`: a bounded-iteration differential fuzzer for the dataflow
+//! engines.
 //!
 //! Each iteration synthesises a random degree-skewed graph with
 //! small-integer adjacency, feature and weight values (every partial sum
@@ -8,9 +9,8 @@
 //! reference plus the cross-engine traffic relation. Exits non-zero on the
 //! first divergence. CI runs a short smoke (`--iters 5`); longer local runs
 //! just crank `--iters`.
-//!
-//! Usage: `fuzz_oracle [--iters N] [--seed S]`
 
+use crate::Command;
 use hymm_core::audit;
 use hymm_core::config::{AcceleratorConfig, Dataflow};
 use hymm_core::sim::run_gcn_layer;
@@ -20,7 +20,7 @@ use hymm_sparse::{Coo, Dense};
 const FEATURE_DIM: usize = 32;
 const OUT_DIM: usize = 16;
 
-/// Minimal deterministic RNG (64-bit LCG, high-bits output) so this binary
+/// Minimal deterministic RNG (64-bit LCG, high-bits output) so the fuzzer
 /// needs no RNG dependency.
 struct Lcg(u64);
 
@@ -121,28 +121,22 @@ fn run_iteration(iter: u64, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
+pub(crate) const FLAGS: &str = "[--iters N] [--seed S]";
+
+pub(crate) fn run(cmd: &Command, raw: Vec<String>) {
     let mut iters = 25u64;
     let mut seed = 1u64;
-    let mut args = std::env::args().skip(1);
+    let mut args = raw.into_iter();
     while let Some(arg) = args.next() {
         let mut grab = |flag: &str| {
             args.next()
                 .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("error: {flag} needs an integer");
-                    eprintln!("usage: fuzz_oracle [--iters N] [--seed S]");
-                    std::process::exit(2);
-                })
+                .unwrap_or_else(|| cmd.fail(&format!("{flag} needs an integer")))
         };
         match arg.as_str() {
             "--iters" => iters = grab("--iters"),
             "--seed" => seed = grab("--seed"),
-            other => {
-                eprintln!("error: unknown argument {other:?}");
-                eprintln!("usage: fuzz_oracle [--iters N] [--seed S]");
-                std::process::exit(2);
-            }
+            other => cmd.fail(&format!("unknown argument {other:?}")),
         }
     }
     for iter in 0..iters {

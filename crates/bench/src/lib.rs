@@ -1,12 +1,12 @@
 //! Experiment regenerators for every table and figure of the HyMM paper.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure; they all share
-//! the [`runner`] (dataset synthesis + simulation, with caching across
-//! figures in `all_experiments`), the [`table`] text formatter and the
-//! [`args`] command-line conventions:
+//! The `hymm-bench` executable (`src/main.rs`) runs each experiment as a
+//! subcommand; they all share the [`runner`] (dataset synthesis +
+//! simulation, one shared pass for every section a subcommand prints), the
+//! [`table`] text formatter and the [`args`] command-line conventions:
 //!
 //! ```text
-//! cargo run --release -p hymm-bench --bin fig7 -- [--scale N] [--datasets CR,AP] [--threads N]
+//! cargo run --release -p hymm-bench -- fig7 [--scale N] [--datasets CR,AP] [--threads N]
 //! ```
 //!
 //! `--scale N` caps every dataset at `N` nodes (average degree, sparsities
@@ -16,7 +16,7 @@
 //! (dataset x variant) simulations out across a [`pool`] of `N` workers
 //! (`0` = one per host core); results are identical at any thread count.
 //!
-//! | binary | reproduces |
+//! | subcommand | reproduces |
 //! |---|---|
 //! | `table1` | Table I — qualitative dataflow comparison |
 //! | `table2` | Table II — dataset statistics + sorting cost |

@@ -1,10 +1,5 @@
-//! Exports a cycle-level Chrome-trace/Perfetto JSON for one dataset.
-//!
-//! ```text
-//! cargo run --release -p hymm-bench --bin trace_export -- \
-//!     [--dataset CR] [--scale N] [--dataflow op|rwp|cwp|hymm|all] \
-//!     [--prefetch off|next-line|smq-stream] [--out TRACE.json] [--check]
-//! ```
+//! `trace_export`: a cycle-level Chrome-trace/Perfetto JSON for one
+//! dataset.
 //!
 //! Runs the two-layer GCN inference with tracing enabled and writes one
 //! trace document (open it at <https://ui.perfetto.dev> or in
@@ -17,68 +12,62 @@
 //! validator ([`trace_json::validate_chrome_trace`]) — the CI smoke step
 //! runs with it on.
 
+use crate::{fatal, Command};
 use hymm_bench::trace_json;
 use hymm_core::config::{AcceleratorConfig, Dataflow};
 use hymm_core::trace::TraceData;
 use hymm_gcn::{run_inference, GcnModel};
 use hymm_graph::datasets::Dataset;
-use std::io::Write as _;
-use std::process::exit;
+use hymm_mem::PrefetchPolicy;
 
-const USAGE: &str = "usage: trace_export [options]
+pub(crate) const FLAGS: &str = "[options]
 
 Options:
-  --dataset ABBR   dataset to synthesise (CR, CS, PB, AC, AP, CF, ND; default CR)
-  --scale N        cap the dataset at N nodes (default: paper-size)
+  --dataset ABBR   dataset to synthesise (CR, AP, AC, CS, PH, FR, YP; default CR)
+  --scale N        cap the dataset at N nodes, N >= 2 (default: paper-size)
   --dataflow MODE  op | rwp | cwp | hymm | all   (default all)
   --prefetch POL   off | next-line | smq-stream  (default off)
   --out PATH       output file (default TRACE.json)
   --check          validate the written JSON and fail on malformed output
-  --help           show this help
-";
+  --help           show this help";
 
 struct Options {
     dataset: Dataset,
     scale: Option<usize>,
     dataflows: Vec<Dataflow>,
-    prefetch: hymm_mem::PrefetchPolicy,
+    prefetch: PrefetchPolicy,
     out: String,
     check: bool,
 }
 
-fn parse_args() -> Options {
-    let fail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        exit(2);
-    };
+fn parse(cmd: &Command, raw: Vec<String>) -> Options {
     let mut opts = Options {
         dataset: Dataset::Cora,
         scale: None,
         dataflows: Dataflow::EXTENDED.to_vec(),
-        prefetch: hymm_mem::PrefetchPolicy::Off,
+        prefetch: PrefetchPolicy::Off,
         out: "TRACE.json".to_string(),
         check: false,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = raw.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
+                .unwrap_or_else(|| cmd.fail(&format!("{name} needs a value")))
         };
         match arg.as_str() {
             "--dataset" => {
                 let abbr = value("--dataset");
-                opts.dataset = Dataset::ALL
-                    .into_iter()
-                    .find(|d| d.abbrev().eq_ignore_ascii_case(abbr.trim()))
-                    .unwrap_or_else(|| fail(&format!("unknown dataset {abbr:?}")));
+                opts.dataset = Dataset::from_abbrev(abbr.trim())
+                    .unwrap_or_else(|| cmd.fail(&format!("unknown dataset {abbr:?}")));
             }
             "--scale" => {
                 let n = value("--scale");
-                opts.scale = Some(
-                    n.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad --scale value {n:?}"))),
-                );
+                match n.parse() {
+                    Ok(nodes) if nodes >= 2 => opts.scale = Some(nodes),
+                    Ok(_) => cmd.fail(&"--scale must be at least 2"),
+                    Err(_) => cmd.fail(&format!("bad --scale value {n:?}")),
+                }
             }
             "--dataflow" => {
                 opts.dataflows = match value("--dataflow").as_str() {
@@ -87,28 +76,24 @@ fn parse_args() -> Options {
                     "cwp" | "column" => vec![Dataflow::ColumnWise],
                     "hymm" | "hybrid" => vec![Dataflow::Hybrid],
                     "all" => Dataflow::EXTENDED.to_vec(),
-                    other => fail(&format!("unknown dataflow {other:?}")),
+                    other => cmd.fail(&format!("unknown dataflow {other:?}")),
                 };
             }
             "--prefetch" => {
                 let v = value("--prefetch");
-                opts.prefetch = hymm_mem::PrefetchPolicy::parse(&v)
-                    .unwrap_or_else(|| fail(&format!("unknown prefetch policy {v:?}")));
+                opts.prefetch = PrefetchPolicy::parse(&v)
+                    .unwrap_or_else(|| cmd.fail(&format!("unknown prefetch policy {v:?}")));
             }
             "--out" => opts.out = value("--out"),
             "--check" => opts.check = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                exit(0);
-            }
-            other => fail(&format!("unknown argument {other:?}")),
+            other => cmd.fail(&format!("unknown argument {other:?}")),
         }
     }
     opts
 }
 
-fn main() {
-    let opts = parse_args();
+pub(crate) fn run(cmd: &Command, raw: Vec<String>) {
+    let opts = parse(cmd, raw);
     let spec = match opts.scale {
         Some(n) => opts.dataset.spec().scaled(n),
         None => opts.dataset.spec(),
@@ -165,8 +150,8 @@ fn main() {
 
     let borrowed: Vec<(String, &TraceData)> = runs.iter().map(|(l, t)| (l.clone(), t)).collect();
     let json = trace_json::chrome_trace(&borrowed);
-    let mut f = std::fs::File::create(&opts.out).expect("create output file");
-    f.write_all(json.as_bytes()).expect("write trace JSON");
+    std::fs::write(&opts.out, &json)
+        .unwrap_or_else(|e| fatal(&format!("cannot write {}: {e}", opts.out)));
     println!(
         "wrote {} ({} bytes, {} runs)",
         opts.out,
@@ -179,7 +164,7 @@ fn main() {
             Ok(n) => println!("validated: {n} trace events, all with ph + ts"),
             Err(e) => {
                 eprintln!("error: written trace failed validation: {e}");
-                exit(1);
+                std::process::exit(1);
             }
         }
     }
