@@ -548,10 +548,6 @@ impl DseArgs {
                 "--max-candidates" => {
                     out.max_candidates = Some(number(&mut it, "--max-candidates")?)
                 }
-                "--help" | "-h" => {
-                    println!("{DSE_USAGE}");
-                    std::process::exit(0);
-                }
                 other => {
                     return Err(ArgError::new(format!(
                         "unknown argument {other:?} (try --help)"

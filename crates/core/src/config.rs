@@ -174,7 +174,9 @@ impl AcceleratorConfig {
     /// deep inside construction (`num_pes == 0` in `PeArray`), silently
     /// wrap cycle counters (`num_pes` above [`MAX_PE_LANES`], `mac_latency`
     /// above [`MAX_MAC_LATENCY`]) or corrupt utilisation math (a NaN,
-    /// non-positive or >1 CWP lane efficiency). The memory side is
+    /// non-positive or >1 CWP lane efficiency), and a `tiling_fraction`
+    /// outside `[0, 1]` that the tiling would silently clamp or, for NaN,
+    /// refuse only once a hybrid run starts. The memory side is
     /// delegated to [`MemConfig::validate`] (line-granular DMB capacity,
     /// non-zero MSHR/LSQ, demand-priority prefetch cap, bounded prefetch
     /// degree). Called by [`crate::sim::run_gcn_layer_prepared`]
@@ -209,6 +211,12 @@ impl AcceleratorConfig {
         if !e.is_finite() || e <= 0.0 || e > 1.0 {
             return Err(SparseError::InvalidConfig(format!(
                 "cwp_lane_efficiency must be a finite value in (0, 1], got {e}"
+            )));
+        }
+        if !(0.0..=1.0).contains(&self.tiling_fraction) {
+            return Err(SparseError::InvalidConfig(format!(
+                "tiling_fraction must be in [0, 1], got {}",
+                self.tiling_fraction
             )));
         }
         Ok(())
@@ -462,6 +470,29 @@ mod tests {
         let mut c = AcceleratorConfig::default();
         c.mem.prefetch_mshr_cap = c.mem.mshr_count;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_tiling_fraction() {
+        for ok in [0.0, 0.2, 1.0] {
+            let c = AcceleratorConfig {
+                tiling_fraction: ok,
+                ..AcceleratorConfig::default()
+            };
+            assert!(c.validate().is_ok(), "{ok}");
+        }
+        for bad in [-0.1, 1.5, 5.0, f64::NAN, f64::INFINITY] {
+            let c = AcceleratorConfig {
+                tiling_fraction: bad,
+                ..AcceleratorConfig::default()
+            };
+            match c.validate() {
+                Err(SparseError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("tiling_fraction"), "{msg}")
+                }
+                other => panic!("{bad}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

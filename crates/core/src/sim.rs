@@ -44,7 +44,8 @@ pub struct LayerOutcome {
 /// Simulates one combination-first GCN layer.
 ///
 /// * `adj` — the (already normalised) adjacency matrix `Â`, square, in
-///   original node order;
+///   original node order (converted to CSR, so duplicate triplets are
+///   summed first);
 /// * `x` — the sparse feature matrix (`n × f`);
 /// * `w` — the dense weight matrix (`f × d`).
 ///
@@ -59,7 +60,7 @@ pub fn run_gcn_layer(
     x: &Coo,
     w: &Dense,
 ) -> Result<LayerOutcome, SparseError> {
-    let prep = PreparedAdjacency::new(adj.clone())?;
+    let prep = PreparedAdjacency::new(Csr::from_coo(adj))?;
     run_gcn_layer_prepared(config, dataflow, &prep, x, w, None)
 }
 
@@ -483,7 +484,7 @@ mod tests {
         let mut noacc = cfg.clone();
         noacc.hybrid_merge = MergePolicy::Materialize;
 
-        let prep = PreparedAdjacency::new(adj.clone()).unwrap();
+        let prep = PreparedAdjacency::new(Csr::from_coo(&adj)).unwrap();
         let memo = CombinationMemo::new();
         let first = run_gcn_layer_prepared(&cfg, Dataflow::Hybrid, &prep, &x, &w, Some((&memo, 0)))
             .unwrap();

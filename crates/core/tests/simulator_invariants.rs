@@ -11,7 +11,9 @@ use hymm_mem::MatrixKind;
 use hymm_sparse::{Coo, Dense};
 
 fn fixture() -> (Coo, Coo, Dense) {
-    let adj = gcn_normalize(&preferential_attachment(300, 1_200, 5)).unwrap();
+    let adj = gcn_normalize(&preferential_attachment(300, 1_200, 5))
+        .unwrap()
+        .to_coo();
     let x = sparse_features(300, 32, 0.8, 5);
     let w = Dense::from_fn(32, 16, |r, c| ((r * 16 + c) % 9) as f32 * 0.1 - 0.4);
     (adj, x, w)

@@ -35,7 +35,11 @@ pub fn relu(m: &mut Dense) {
 ///
 /// Panics if shapes are inconsistent.
 pub fn dense_inference(adj: &Coo, features: &Coo, model: &GcnModel) -> Dense {
-    let a_hat = densify(&gcn_normalize(adj).expect("adjacency must be square"));
+    let a_hat = densify(
+        &gcn_normalize(adj)
+            .expect("adjacency must be square")
+            .to_coo(),
+    );
     let mut h = densify(features);
     for (spec, w) in model.layers().iter().zip(model.weights()) {
         let hw = h.matmul(w).expect("layer dims validated by GcnModel");

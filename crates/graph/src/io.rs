@@ -12,10 +12,17 @@
 //!   0-based, as exported by SNAP and most graph tools.
 //!
 //! Both loaders return a [`Coo`]; writers for round-tripping are included.
+//! Both refuse a graph of more than [`MAX_NODES`] nodes before anything is
+//! sized by its node count.
 
 use hymm_sparse::{Coo, SparseError};
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
+
+/// The most nodes a loaded graph may have: above Yelp's 716 847 (the
+/// largest Table II graph), and far below what a one-line file could
+/// otherwise make the feature synthesis allocate.
+pub const MAX_NODES: usize = 1 << 20;
 
 /// Errors produced while parsing graph files.
 #[derive(Debug)]
@@ -32,6 +39,14 @@ pub enum IoError {
     },
     /// The parsed coordinates were inconsistent with the declared shape.
     Sparse(SparseError),
+    /// The file declares (Matrix Market) or implies (edge list) more than
+    /// [`MAX_NODES`] nodes.
+    TooManyNodes {
+        /// 1-based line number of the dimension line or the edge.
+        line: usize,
+        /// The declared or implied node count.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for IoError {
@@ -40,6 +55,10 @@ impl fmt::Display for IoError {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
             IoError::Sparse(e) => write!(f, "inconsistent matrix: {e}"),
+            IoError::TooManyNodes { line, nodes } => write!(
+                f,
+                "line {line}: {nodes} nodes exceed the limit of {MAX_NODES}"
+            ),
         }
     }
 }
@@ -49,7 +68,7 @@ impl std::error::Error for IoError {
         match self {
             IoError::Io(e) => Some(e),
             IoError::Sparse(e) => Some(e),
-            IoError::Parse { .. } => None,
+            IoError::Parse { .. } | IoError::TooManyNodes { .. } => None,
         }
     }
 }
@@ -74,7 +93,8 @@ impl From<SparseError> for IoError {
 ///
 /// # Errors
 ///
-/// Returns [`IoError::Parse`] on malformed headers, counts or entries, and
+/// Returns [`IoError::Parse`] on malformed headers, counts or entries,
+/// [`IoError::TooManyNodes`] if either dimension exceeds [`MAX_NODES`], and
 /// [`IoError::Sparse`] if coordinates exceed the declared dimensions.
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, IoError> {
     let mut lines = BufReader::new(reader).lines().enumerate();
@@ -139,6 +159,12 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo, IoError> {
     let rows = parse_dim(parts.next(), "row count")?;
     let cols = parse_dim(parts.next(), "column count")?;
     let nnz = parse_dim(parts.next(), "entry count")?;
+    if rows.max(cols) > MAX_NODES {
+        return Err(IoError::TooManyNodes {
+            line: dline,
+            nodes: rows.max(cols),
+        });
+    }
 
     let mut coo = Coo::new(rows, cols)?;
     let mut seen = 0usize;
@@ -214,7 +240,8 @@ pub fn write_matrix_market<W: Write>(mut writer: W, m: &Coo) -> Result<(), IoErr
 /// # Errors
 ///
 /// Returns [`IoError::Parse`] on malformed lines and [`IoError::Parse`] with
-/// line 0 if the file contains no edges.
+/// line 0 if the file contains no edges, and [`IoError::TooManyNodes`] at
+/// the first edge naming a node id of [`MAX_NODES`] or more.
 pub fn read_edge_list<R: Read>(reader: R, symmetrize: bool) -> Result<Coo, IoError> {
     let mut edges: Vec<(usize, usize, f32)> = Vec::new();
     let mut max_node = 0usize;
@@ -247,6 +274,12 @@ pub fn read_edge_list<R: Read>(reader: R, symmetrize: bool) -> Result<Coo, IoErr
             })?,
             None => 1.0,
         };
+        if s.max(d) >= MAX_NODES {
+            return Err(IoError::TooManyNodes {
+                line: i + 1,
+                nodes: s.max(d).saturating_add(1),
+            });
+        }
         max_node = max_node.max(s).max(d);
         edges.push((s, d, w));
     }
@@ -336,6 +369,67 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         let err = read_matrix_market(text.as_bytes());
         assert!(matches!(err, Err(IoError::Parse { .. })));
+    }
+
+    #[test]
+    fn matrix_market_refuses_a_dimension_above_the_node_limit() {
+        let text = "%%MatrixMarket matrix coordinate pattern general\n\
+                    % declares three billion rows\n\
+                    3000000000 3000000000 1\n\
+                    1 2\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IoError::TooManyNodes {
+                    line: 3,
+                    nodes: 3_000_000_000
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains(&MAX_NODES.to_string()), "{err}");
+        let wide = format!(
+            "%%MatrixMarket matrix coordinate pattern general\n2 {} 1\n1 1\n",
+            MAX_NODES + 1
+        );
+        assert!(matches!(
+            read_matrix_market(wide.as_bytes()),
+            Err(IoError::TooManyNodes { .. })
+        ));
+        let at_limit = format!(
+            "%%MatrixMarket matrix coordinate pattern general\n{MAX_NODES} {MAX_NODES} 1\n1 2\n"
+        );
+        assert_eq!(
+            read_matrix_market(at_limit.as_bytes()).unwrap().rows(),
+            MAX_NODES
+        );
+    }
+
+    #[test]
+    fn edge_list_refuses_a_node_id_above_the_node_limit() {
+        let err = read_edge_list("0 1\n0 4000000000\n".as_bytes(), true).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IoError::TooManyNodes {
+                    line: 2,
+                    nodes: 4_000_000_001
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains(&MAX_NODES.to_string()), "{err}");
+        let over = format!("{MAX_NODES} 0\n");
+        assert!(matches!(
+            read_edge_list(over.as_bytes(), false),
+            Err(IoError::TooManyNodes { .. })
+        ));
+        let at_limit = format!("{} 0\n", MAX_NODES - 1);
+        assert_eq!(
+            read_edge_list(at_limit.as_bytes(), false).unwrap().rows(),
+            MAX_NODES
+        );
     }
 
     #[test]

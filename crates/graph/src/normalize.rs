@@ -7,20 +7,20 @@
 //! changes values but not structure (beyond the added diagonal), so the
 //! accelerator's memory behaviour is driven by the same non-zero pattern.
 
-use hymm_sparse::{Coo, SparseError};
+use hymm_sparse::{Coo, Csr, SparseError};
 
 /// Computes `Â = D̃^-1/2 (A + I) D̃^-1/2` from a (possibly weighted)
 /// adjacency matrix, where `D̃` is the degree matrix of `A + I`.
 ///
 /// Duplicate triplets in the input are coalesced (summed, in input order)
 /// first. The result has exactly the input's structural non-zeros plus a
-/// full diagonal, emitted in strictly ascending `(row, col)` order, so CSR
-/// and CSC conversion never have to re-sort it.
+/// full diagonal, written straight into CSR arrays: Â's owned form, from
+/// which the CSC, the degree sort and the tiling are derived.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::ShapeMismatch`] if `adj` is not square.
-pub fn gcn_normalize(adj: &Coo) -> Result<Coo, SparseError> {
+pub fn gcn_normalize(adj: &Coo) -> Result<Csr, SparseError> {
     if adj.rows() != adj.cols() {
         return Err(SparseError::ShapeMismatch {
             left: (adj.rows(), adj.cols()),
@@ -30,14 +30,14 @@ pub fn gcn_normalize(adj: &Coo) -> Result<Coo, SparseError> {
     let n = adj.rows();
 
     // Counting scatter by row; entries keep their input order within a row.
-    let mut row_ptr = vec![0usize; n + 1];
+    let mut in_ptr = vec![0usize; n + 1];
     for &(r, _, _) in adj.entries() {
-        row_ptr[r as usize + 1] += 1;
+        in_ptr[r as usize + 1] += 1;
     }
     for i in 0..n {
-        row_ptr[i + 1] += row_ptr[i];
+        in_ptr[i + 1] += in_ptr[i];
     }
-    let mut next = row_ptr.clone();
+    let mut next = in_ptr.clone();
     let mut scattered = vec![(0u32, 0f32); adj.nnz()];
     for &(r, c, v) in adj.entries() {
         scattered[next[r as usize]] = (c, v);
@@ -49,33 +49,47 @@ pub fn gcn_normalize(adj: &Coo) -> Result<Coo, SparseError> {
     // else inserted at its sorted slot) and sum the weighted degree of
     // A + I. The degree adds the row's entries by column and an inserted
     // self-loop last: the order of the sort-based reference in the tests,
-    // which keeps every value bit-identical to it.
-    let mut entries: Vec<(u32, u32, f32)> = Vec::with_capacity(adj.nnz() + n);
+    // which keeps every value bit-identical to it. The CSR arrays are sized
+    // for every input entry plus a full diagonal and written by index;
+    // `len` is their filled length so far.
+    let cap = adj.nnz() + n;
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = vec![0u32; cap];
+    let mut values = vec![0f32; cap];
+    let mut len = 0;
     let mut inv_sqrt = vec![0f64; n];
     for (r, deg_inv_sqrt) in inv_sqrt.iter_mut().enumerate() {
-        let row = &mut scattered[row_ptr[r]..row_ptr[r + 1]];
+        let row = &mut scattered[in_ptr[r]..in_ptr[r + 1]];
         if row.windows(2).any(|w| w[0].0 >= w[1].0) {
             row.sort_by_key(|&(c, _)| c);
         }
-        let start = entries.len();
+        let start = len;
         for &(c, v) in row.iter() {
-            match entries[start..].last_mut() {
-                Some(last) if last.1 == c => last.2 += v,
-                _ => entries.push((r as u32, c, v)),
+            if len > start && col_idx[len - 1] == c {
+                values[len - 1] += v;
+            } else {
+                col_idx[len] = c;
+                values[len] = v;
+                len += 1;
             }
         }
         let r32 = r as u32;
-        let slot = start + entries[start..].partition_point(|e| e.1 < r32);
-        let has_diag = entries.get(slot).is_some_and(|e| e.1 == r32);
+        let slot = start + col_idx[start..len].partition_point(|&c| c < r32);
+        let has_diag = slot < len && col_idx[slot] == r32;
         if has_diag {
-            entries[slot].2 += 1.0;
+            values[slot] += 1.0;
         }
         let mut degree = 0f64;
-        for e in &entries[start..] {
-            degree += e.2 as f64;
+        for &v in &values[start..len] {
+            degree += v as f64;
         }
         if !has_diag {
-            entries.insert(slot, (r32, r32, 1.0));
+            col_idx.copy_within(slot..len, slot + 1);
+            values.copy_within(slot..len, slot + 1);
+            col_idx[slot] = r32;
+            values[slot] = 1.0;
+            len += 1;
             degree += 1.0;
         }
         *deg_inv_sqrt = if degree > 0.0 {
@@ -83,18 +97,27 @@ pub fn gcn_normalize(adj: &Coo) -> Result<Coo, SparseError> {
         } else {
             0.0
         };
+        row_ptr.push(len);
     }
+    // Duplicates and input self-loops leave spare room; release it (a
+    // no-op when there is none).
+    col_idx.truncate(len);
+    col_idx.shrink_to_fit();
+    values.truncate(len);
+    values.shrink_to_fit();
 
-    for (r, c, v) in &mut entries {
-        *v = (*v as f64 * inv_sqrt[*r as usize] * inv_sqrt[*c as usize]) as f32;
+    for (r, w) in row_ptr.windows(2).enumerate() {
+        let (cols, vals) = (&col_idx[w[0]..w[1]], &mut values[w[0]..w[1]]);
+        for (v, &c) in vals.iter_mut().zip(cols) {
+            *v = (*v as f64 * inv_sqrt[r] * inv_sqrt[c as usize]) as f32;
+        }
     }
-    Coo::from_entries(n, n, entries)
+    Csr::from_raw_parts(n, n, row_ptr, col_idx, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hymm_sparse::Csr;
     use proptest::prelude::*;
 
     /// The comparison-sort normalisation `gcn_normalize` replaced: sort all
@@ -184,26 +207,20 @@ mod tests {
         #[test]
         fn matches_sort_based_reference_bit_for_bit(adj in messy_adjacency()) {
             let got = gcn_normalize(&adj).unwrap();
-            let mut want: Vec<(usize, usize, u32)> = reference_normalize(&adj)
-                .iter()
-                .map(|(r, c, v)| (r, c, v.to_bits()))
-                .collect();
-            want.sort_unstable();
-            let got: Vec<(usize, usize, u32)> =
-                got.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
-            prop_assert!(
-                got.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
-                "output not in strictly ascending (row, col) order"
-            );
-            prop_assert_eq!(got, want);
+            // The reference's keys are unique, so its CSR is a function of
+            // the entry set alone, whatever order they come in.
+            let want = Csr::from_coo(&reference_normalize(&adj));
+            prop_assert_eq!(got.row_ptr(), want.row_ptr());
+            prop_assert_eq!(got.col_idx(), want.col_idx());
+            let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 
     #[test]
     fn adds_self_loops() {
         let adj = Coo::from_triplets(3, 3, [(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let norm = gcn_normalize(&adj).unwrap();
-        let m = Csr::from_coo(&norm);
+        let m = gcn_normalize(&adj).unwrap();
         for i in 0..3 {
             assert!(m.get(i, i) > 0.0, "missing self-loop at {i}");
         }
@@ -212,8 +229,7 @@ mod tests {
     #[test]
     fn isolated_node_gets_unit_diagonal() {
         let adj = Coo::from_triplets(2, 2, [(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let norm = gcn_normalize(&adj).unwrap();
-        let m = Csr::from_coo(&norm);
+        let m = gcn_normalize(&adj).unwrap();
         // node degrees with self-loop: 2 and 2 → off-diagonal = 1/2
         assert!((m.get(0, 1) - 0.5).abs() < 1e-6);
         assert!((m.get(0, 0) - 0.5).abs() < 1e-6);
@@ -238,7 +254,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let m = Csr::from_coo(&gcn_normalize(&adj).unwrap());
+        let m = gcn_normalize(&adj).unwrap();
         for r in 0..4 {
             let (_, vals) = m.row(r);
             let sum: f32 = vals.iter().sum();
@@ -250,7 +266,7 @@ mod tests {
     fn result_is_symmetric_for_symmetric_input() {
         let adj =
             Coo::from_triplets(3, 3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]).unwrap();
-        let m = Csr::from_coo(&gcn_normalize(&adj).unwrap());
+        let m = gcn_normalize(&adj).unwrap();
         for r in 0..3 {
             for c in 0..3 {
                 assert!((m.get(r, c) - m.get(c, r)).abs() < 1e-6);

@@ -116,9 +116,39 @@ impl Csc {
         })
     }
 
-    /// Builds a CSC matrix with the same contents as a [`Csr`].
+    /// Builds a CSC matrix with the same contents as a [`Csr`]: a transpose
+    /// scatter in O(nnz), a count per column and then one pass over the
+    /// rows. Rows are visited in ascending order, so every column's row
+    /// indices come out ascending with no sort; with the CSR's unique keys
+    /// the result is exactly [`Csc::from_coo`] of the same entries.
     pub fn from_csr(csr: &Csr) -> Csc {
-        Csc::from_coo(&csr.to_coo())
+        let cols = csr.cols();
+        let mut col_ptr = vec![0usize; cols + 1];
+        for &c in csr.col_idx() {
+            col_ptr[c as usize + 1] += 1;
+        }
+        for i in 0..cols {
+            col_ptr[i + 1] += col_ptr[i];
+        }
+        let mut next = col_ptr[..cols].to_vec();
+        let mut row_idx = vec![0u32; csr.nnz()];
+        let mut values = vec![0f32; csr.nnz()];
+        for r in 0..csr.rows() {
+            let (row_cols, row_vals) = csr.row(r);
+            for (&c, &v) in row_cols.iter().zip(row_vals) {
+                let pos = next[c as usize];
+                next[c as usize] += 1;
+                row_idx[pos] = r as u32;
+                values[pos] = v;
+            }
+        }
+        Csc {
+            rows: csr.rows(),
+            cols,
+            col_ptr,
+            row_idx,
+            values,
+        }
     }
 
     /// Constructs a CSC matrix from raw component arrays, validating all

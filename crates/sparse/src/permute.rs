@@ -7,6 +7,7 @@
 //! validated [`Permutation`] type and the sorting constructor.
 
 use crate::coo::Coo;
+use crate::csr::Csr;
 use crate::error::SparseError;
 
 /// A validated bijection on `0..n`, applied to matrix rows and/or columns.
@@ -71,23 +72,35 @@ impl Permutation {
         }
     }
 
-    /// Builds the permutation that sorts indices by **descending** key,
-    /// breaking ties by ascending original index (stable).
-    pub fn sort_descending_by_key(keys: &[usize]) -> Permutation {
-        let mut idx: Vec<u32> = (0..keys.len() as u32).collect();
-        idx.sort_by(|&a, &b| {
-            keys[b as usize]
-                .cmp(&keys[a as usize])
-                .then_with(|| a.cmp(&b))
-        });
-        let mut scatter = vec![0u32; keys.len()];
-        for (new, &old) in idx.iter().enumerate() {
-            scatter[old as usize] = new as u32;
+    /// Orders nodes by descending degree, ties by ascending index, with a
+    /// stable counting sort: one bucket per degree from the largest down,
+    /// filled in ascending node order.
+    ///
+    /// `degrees` must count every entry of a matrix once for its row and
+    /// once for its column, so they sum to `2·nnz` and the bucket count,
+    /// the largest degree plus one, is at most `2·nnz + 1`.
+    fn by_descending_degree(degrees: &[usize]) -> Permutation {
+        let max = degrees.iter().copied().max().unwrap_or(0);
+        // `next[max - d]`: the next free sorted slot for degree `d`.
+        let mut next = vec![0usize; max + 1];
+        for &d in degrees {
+            next[max - d] += 1;
         }
-        Permutation {
-            gather: idx,
-            scatter,
+        let mut start = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start += count;
         }
+        let mut gather = vec![0u32; degrees.len()];
+        let mut scatter = vec![0u32; degrees.len()];
+        for (old, &d) in degrees.iter().enumerate() {
+            let new = next[max - d];
+            next[max - d] += 1;
+            gather[new] = old as u32;
+            scatter[old] = new as u32;
+        }
+        Permutation { gather, scatter }
     }
 
     /// Domain size.
@@ -182,24 +195,45 @@ impl Permutation {
 /// Builds the degree-sorting permutation for a square adjacency matrix:
 /// nodes ordered by descending total degree (row nnz + column nnz, i.e.
 /// out-degree + in-degree; for symmetric graphs this is twice the degree and
-/// yields the same order).
+/// yields the same order), ties by ascending index. Duplicate triplets each
+/// count.
 ///
 /// # Errors
 ///
 /// Returns [`SparseError::ShapeMismatch`] if the matrix is not square.
 pub fn degree_sort_permutation(adj: &Coo) -> Result<Permutation, SparseError> {
-    if adj.rows() != adj.cols() {
+    check_square(adj.rows(), adj.cols())?;
+    let mut deg = vec![0usize; adj.rows()];
+    for &(r, c, _) in adj.entries() {
+        deg[r as usize] += 1;
+        deg[c as usize] += 1;
+    }
+    Ok(Permutation::by_descending_degree(&deg))
+}
+
+/// [`degree_sort_permutation`] for a matrix in CSR form: the row lengths
+/// plus one pass counting the column indices.
+///
+/// # Errors
+///
+/// Returns [`SparseError::ShapeMismatch`] if the matrix is not square.
+pub fn csr_degree_sort_permutation(adj: &Csr) -> Result<Permutation, SparseError> {
+    check_square(adj.rows(), adj.cols())?;
+    let mut deg: Vec<usize> = adj.row_ptr().windows(2).map(|w| w[1] - w[0]).collect();
+    for &c in adj.col_idx() {
+        deg[c as usize] += 1;
+    }
+    Ok(Permutation::by_descending_degree(&deg))
+}
+
+fn check_square(rows: usize, cols: usize) -> Result<(), SparseError> {
+    if rows != cols {
         return Err(SparseError::ShapeMismatch {
-            left: (adj.rows(), adj.cols()),
-            right: (adj.cols(), adj.rows()),
+            left: (rows, cols),
+            right: (cols, rows),
         });
     }
-    let mut deg = vec![0usize; adj.rows()];
-    for (r, c, _) in adj.iter() {
-        deg[r] += 1;
-        deg[c] += 1;
-    }
-    Ok(Permutation::sort_descending_by_key(&deg))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -232,10 +266,62 @@ mod tests {
     }
 
     #[test]
-    fn sort_descending_orders_keys() {
-        let p = Permutation::sort_descending_by_key(&[1, 5, 3, 5]);
+    fn descending_degree_breaks_ties_by_index() {
+        let p = Permutation::by_descending_degree(&[1, 5, 3, 5]);
         // descending with stable tie-break: old indices 1, 3 (both 5), 2, 0
         assert_eq!(p.as_gather(), &[1, 3, 2, 0]);
+        assert_eq!(p.as_scatter(), &[3, 0, 2, 1]);
+    }
+
+    /// The stable comparison sort the counting sort replaced.
+    fn comparison_sort(degrees: &[usize]) -> Vec<u32> {
+        let mut gather: Vec<u32> = (0..degrees.len() as u32).collect();
+        gather.sort_by(|&a, &b| {
+            degrees[b as usize]
+                .cmp(&degrees[a as usize])
+                .then_with(|| a.cmp(&b))
+        });
+        gather
+    }
+
+    #[test]
+    fn counting_sort_matches_the_comparison_sort() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_pcg::Pcg64::seed_from_u64(27);
+        for case in 0..300 {
+            let n = rng.gen_range(0..120usize);
+            // Narrow ranges force long runs of ties; wide ones leave gaps
+            // between the occupied buckets.
+            let top = [1, 3, 8, 2 * n + 1][case % 4];
+            let degrees: Vec<usize> = (0..n).map(|_| rng.gen_range(0..=top)).collect();
+            let got = Permutation::by_descending_degree(&degrees);
+            let want = Permutation::new(comparison_sort(&degrees)).unwrap();
+            assert_eq!(got, want, "degrees {degrees:?}");
+        }
+    }
+
+    #[test]
+    fn csr_and_coo_degree_sorts_agree() {
+        let m = Coo::from_triplets(
+            5,
+            5,
+            [
+                (0, 1, 1.0),
+                (1, 0, 1.0),
+                (4, 4, 2.0),
+                (2, 4, 1.0),
+                (4, 1, 1.0),
+            ],
+        )
+        .unwrap();
+        let want = degree_sort_permutation(&m).unwrap();
+        assert_eq!(
+            csr_degree_sort_permutation(&Csr::from_coo(&m)).unwrap(),
+            want
+        );
+        assert_eq!(want.as_gather(), &[4, 1, 0, 2, 3]);
+        let wide = Csr::from_coo(&Coo::from_triplets(2, 3, [(0, 2, 1.0)]).unwrap());
+        assert!(csr_degree_sort_permutation(&wide).is_err());
     }
 
     #[test]

@@ -55,10 +55,7 @@ struct Options {
     feature_len: usize,
     feature_sparsity: f64,
     hidden: usize,
-    dmb_kb: usize,
-    mshrs: usize,
-    forwarding: bool,
-    tiling: f64,
+    config: AcceleratorConfig,
     seed: u64,
 }
 
@@ -73,26 +70,29 @@ impl Default for Options {
             feature_len: 128,
             feature_sparsity: 0.9,
             hidden: 16,
-            dmb_kb: 256,
-            mshrs: 32,
-            forwarding: true,
-            tiling: 0.20,
+            config: AcceleratorConfig::default(),
             seed: 42,
         }
     }
 }
 
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}\n\n{USAGE}");
+    exit(2)
+}
+
 fn parse_args() -> Options {
     let mut opt = Options::default();
     let mut args = std::env::args().skip(1);
-    let fail = |msg: &str| -> ! {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        exit(2)
-    };
     while let Some(arg) = args.next() {
         let mut value = |what: &str| -> String {
             args.next()
                 .unwrap_or_else(|| fail(&format!("{what} needs a value")))
+        };
+        let mut number = |flag: &str| -> usize {
+            value(flag)
+                .parse()
+                .unwrap_or_else(|_| fail(&format!("bad {flag}")))
         };
         match arg.as_str() {
             "--dataset" => {
@@ -105,9 +105,7 @@ fn parse_args() -> Options {
             "--edge-list" => opt.edge_list = Some(value("--edge-list")),
             "--matrix-market" => opt.matrix_market = Some(value("--matrix-market")),
             "--scale" => {
-                let n: usize = value("--scale")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --scale"));
+                let n = number("--scale");
                 if n < 2 {
                     fail("--scale needs at least 2 nodes");
                 }
@@ -123,35 +121,51 @@ fn parse_args() -> Options {
                 }
             }
             "--feature-len" => {
-                opt.feature_len = value("--feature-len")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --feature-len"))
+                opt.feature_len = number("--feature-len");
+                if opt.feature_len == 0 {
+                    fail("--feature-len must be at least 1");
+                }
             }
             "--feature-sparsity" => {
-                opt.feature_sparsity = value("--feature-sparsity")
+                let f: f64 = value("--feature-sparsity")
                     .parse()
-                    .unwrap_or_else(|_| fail("bad --feature-sparsity"))
+                    .unwrap_or_else(|_| fail("bad --feature-sparsity"));
+                // `sparse_features`' domain: the fraction of zeros in X.
+                if !(0.0..=1.0).contains(&f) {
+                    fail(&format!("--feature-sparsity must be in [0, 1], got {f}"));
+                }
+                opt.feature_sparsity = f;
             }
             "--hidden" => {
-                opt.hidden = value("--hidden")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --hidden"))
+                opt.hidden = number("--hidden");
+                if opt.hidden == 0 {
+                    fail("--hidden must be at least 1");
+                }
             }
             "--dmb-kb" => {
-                opt.dmb_kb = value("--dmb-kb")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --dmb-kb"))
+                let kb = number("--dmb-kb");
+                opt.config.mem.dmb_bytes = kb
+                    .checked_mul(1024)
+                    .unwrap_or_else(|| fail(&format!("--dmb-kb {kb} overflows")));
+                checked(&opt.config, "--dmb-kb");
             }
             "--mshrs" => {
-                opt.mshrs = value("--mshrs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --mshrs"))
+                let mshrs = number("--mshrs");
+                opt.config.mem.mshr_count = mshrs;
+                // A small --mshrs value must still leave a demand MSHR
+                // below the (prefetch-off, timing-inert) speculative cap.
+                opt.config.mem.prefetch_mshr_cap = AcceleratorConfig::default()
+                    .mem
+                    .prefetch_mshr_cap
+                    .min(mshrs.saturating_sub(1));
+                checked(&opt.config, "--mshrs");
             }
-            "--no-forwarding" => opt.forwarding = false,
+            "--no-forwarding" => opt.config.lsq_forwarding = false,
             "--tiling" => {
-                opt.tiling = value("--tiling")
+                opt.config.tiling_fraction = value("--tiling")
                     .parse()
-                    .unwrap_or_else(|_| fail("bad --tiling"))
+                    .unwrap_or_else(|_| fail("bad --tiling"));
+                checked(&opt.config, "--tiling");
             }
             "--seed" => {
                 opt.seed = value("--seed")
@@ -168,60 +182,58 @@ fn parse_args() -> Options {
     opt
 }
 
+/// Refuses the command line when `flag`, just applied to `config`, put it
+/// outside [`AcceleratorConfig::validate`]'s bounds. Every other knob is
+/// still at its valid default or was checked when its own flag was read.
+fn checked(config: &AcceleratorConfig, flag: &str) {
+    if let Err(e) = config.validate() {
+        fail(&format!("{flag}: {e}"));
+    }
+}
+
+/// Opens and reads a graph file; a graph over the loader's node limit
+/// refuses the command line (exit 2), any other failure exits 1.
+fn load_graph(path: &str, read: fn(std::fs::File) -> Result<Coo, io::IoError>) -> Coo {
+    let file = std::fs::File::open(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot open {path}: {e}");
+        exit(1)
+    });
+    read(file).unwrap_or_else(|e| {
+        if let io::IoError::TooManyNodes { .. } = e {
+            fail(&format!("{path}: {e}"));
+        }
+        eprintln!("error: {e}");
+        exit(1)
+    })
+}
+
 fn load_workload(opt: &Options) -> (Coo, Coo, usize) {
-    if let Some(path) = &opt.edge_list {
-        let file = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            exit(1)
-        });
-        let adj = io::read_edge_list(file, true).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            exit(1)
-        });
-        let n = adj.rows();
-        let x = sparse_features(n, opt.feature_len, opt.feature_sparsity, opt.seed);
-        (adj, x, opt.feature_len)
+    let adj = if let Some(path) = &opt.edge_list {
+        load_graph(path, |file| io::read_edge_list(file, true))
     } else if let Some(path) = &opt.matrix_market {
-        let file = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot open {path}: {e}");
-            exit(1)
-        });
-        let adj = io::read_matrix_market(file).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            exit(1)
-        });
+        let adj = load_graph(path, io::read_matrix_market);
         if adj.rows() != adj.cols() {
             eprintln!("error: adjacency matrix must be square");
             exit(1)
         }
-        let n = adj.rows();
-        let x = sparse_features(n, opt.feature_len, opt.feature_sparsity, opt.seed);
-        (adj, x, opt.feature_len)
+        adj
     } else {
         let w = match opt.scale {
             Some(n) => opt.dataset.synthesize_scaled(n),
             None => opt.dataset.synthesize(),
         };
         let f = w.spec.feature_len;
-        (w.adjacency, w.features, f)
-    }
+        return (w.adjacency, w.features, f);
+    };
+    let x = sparse_features(adj.rows(), opt.feature_len, opt.feature_sparsity, opt.seed);
+    (adj, x, opt.feature_len)
 }
 
 fn main() {
     let opt = parse_args();
     let (adj, x, feature_len) = load_workload(&opt);
 
-    let mut config = AcceleratorConfig::default();
-    config.mem.dmb_bytes = opt.dmb_kb * 1024;
-    config.mem.mshr_count = opt.mshrs;
-    // A small --mshrs value must still leave a demand MSHR below the
-    // (prefetch-off, timing-inert) speculative cap or validation rejects it.
-    config.mem.prefetch_mshr_cap = config
-        .mem
-        .prefetch_mshr_cap
-        .min(opt.mshrs.saturating_sub(1));
-    config.lsq_forwarding = opt.forwarding;
-    config.tiling_fraction = opt.tiling;
+    let config = &opt.config;
 
     let model = GcnModel::two_layer(feature_len, opt.hidden, opt.hidden, opt.seed);
     eprintln!(
@@ -230,7 +242,7 @@ fn main() {
         adj.rows(),
         adj.nnz()
     );
-    let outcome = run_inference(&config, opt.dataflow, &adj, &x, &model).unwrap_or_else(|e| {
+    let outcome = run_inference(config, opt.dataflow, &adj, &x, &model).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         exit(1)
     });

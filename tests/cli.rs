@@ -27,3 +27,56 @@ fn removed_scheduler_flag_is_rejected_with_usage() {
         assert!(!usage.contains(REMOVED_FLAG), "usage still lists the flag");
     }
 }
+
+/// Runs `hymm-sim` with `args` and returns its stderr after checking that
+/// it refused the command line: exit 2, nothing simulated.
+fn refused(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_hymm-sim"))
+        .args(args)
+        .output()
+        .expect("hymm-sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: no simulation may run");
+    assert!(stderr.contains("usage: hymm-sim"), "{args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn out_of_range_workload_and_config_flags_name_the_flag() {
+    for (args, flag) in [
+        (&["--scale", "50", "--hidden", "0"][..], "--hidden"),
+        (&["--scale", "50", "--tiling", "5"][..], "--tiling"),
+        (
+            &["--scale", "50", "--feature-sparsity", "2"][..],
+            "--feature-sparsity",
+        ),
+    ] {
+        let stderr = refused(args);
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(
+            error.starts_with("error: ") && error.contains(flag),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_graph_over_the_node_limit_names_the_file_and_the_limit() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let edges = dir.join("cli_node_limit.edges");
+    std::fs::write(&edges, "0 4000000000\n").expect("temp file");
+    let mtx = dir.join("cli_node_limit.mtx");
+    std::fs::write(
+        &mtx,
+        "%%MatrixMarket matrix coordinate pattern general\n3000000000 3000000000 1\n1 2\n",
+    )
+    .expect("temp file");
+    let limit = hymm::graph::io::MAX_NODES.to_string();
+    for (flag, path) in [("--edge-list", &edges), ("--matrix-market", &mtx)] {
+        let path = path.to_str().expect("utf-8 temp path");
+        let stderr = refused(&[flag, path]);
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(error.contains(path) && error.contains(&limit), "{stderr}");
+    }
+}
