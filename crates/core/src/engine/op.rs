@@ -113,10 +113,9 @@ pub fn run_op_sink(m: &mut Machine, start: u64, job: &OpJob<'_>, mut out: Numeri
     // (sorted) row indices exactly once.
     let mut cursor: Vec<usize> = (0..cols).map(|k| sparse.col_ptr()[k]).collect();
 
-    // Scratch reused across tiles: first-touch bitmap, materialise log, and
-    // the merge-pass MLP window.
+    // Scratch reused across tiles: first-touch bitmap and the merge-pass MLP
+    // window.
     let mut touched_buf = vec![false; job.tile_rows.min(rows)];
-    let mut log: Vec<(usize, u64)> = Vec::new();
     let mlp = m.config.mlp_window.max(1);
     let mut window: std::collections::VecDeque<u64> =
         std::collections::VecDeque::with_capacity(mlp);
@@ -149,8 +148,9 @@ pub fn run_op_sink(m: &mut Machine, start: u64, job: &OpJob<'_>, mut out: Numeri
         let touched = &mut touched_buf[..hi - lo];
         touched.fill(false);
         let mut live_partial_bytes: u64 = 0;
-        // Materialise log: (local row, log addr) pairs for the merge pass.
-        log.clear();
+        // Materialise log: this tile's partial products take the serial
+        // line addresses `log_start..materialize_serial`.
+        let log_start = materialize_serial;
 
         for k in 0..cols {
             let col_end = sparse.col_ptr()[k + 1];
@@ -307,12 +307,10 @@ pub fn run_op_sink(m: &mut Machine, start: u64, job: &OpJob<'_>, mut out: Numeri
                             // Every partial product occupies fresh log space;
                             // the DMB spills overflow to DRAM by itself.
                             let mut done = mult_done;
-                            for chunk in 0..out_lines {
+                            for _ in 0..out_lines {
                                 let addr =
                                     hymm_mem::LineAddr::new(job.out_kind, materialize_serial);
                                 materialize_serial += 1;
-                                log.push((tile_r, addr.index));
-                                let _ = chunk;
                                 let drained = m.lsq.store(done, addr, done);
                                 let w = m.dmb.write(
                                     drained,
@@ -339,7 +337,7 @@ pub fn run_op_sink(m: &mut Machine, start: u64, job: &OpJob<'_>, mut out: Numeri
             // Reads are pipelined up to the MLP window — the merger streams
             // the log while the PE adder drains it.
             let mut t = end;
-            for &(tile_r, log_index) in &log {
+            for log_index in log_start..materialize_serial {
                 if window.len() >= mlp {
                     let oldest = window.pop_front().expect("window non-empty");
                     t = t.max(oldest);
@@ -352,26 +350,19 @@ pub fn run_op_sink(m: &mut Machine, start: u64, job: &OpJob<'_>, mut out: Numeri
                 let merged = m.pe.execute_merge(ready, 1);
                 window.push_back(merged);
                 t += 1;
-                let _ = tile_r;
             }
             let mut t = window.back().copied().unwrap_or(t).max(t);
             window.clear();
             // Drop the log and write the merged rows.
             m.dmb.invalidate_kind(job.out_kind);
-            for (i, &was_touched) in touched.iter().enumerate() {
-                if was_touched {
-                    let global_row = lo + i + job.out_row_offset;
-                    for chunk in 0..out_lines {
-                        let addr = row_line(job.out_kind, global_row, out_lines, chunk);
-                        t = t.max(m.dram.write(
-                            t,
-                            addr.kind,
-                            mem.line_bytes as u64,
-                            AccessPattern::Sequential,
-                        ));
-                        let _ = addr;
-                    }
-                }
+            let merged_lines = touched.iter().filter(|&&hit| hit).count() * out_lines;
+            for _ in 0..merged_lines {
+                t = t.max(m.dram.write(
+                    t,
+                    job.out_kind,
+                    mem.line_bytes as u64,
+                    AccessPattern::Sequential,
+                ));
             }
             end = end.max(t);
         } else {

@@ -69,6 +69,19 @@ pub struct MemConfig {
 /// queue depth and is far above any preset, DSE point or sweep (at most 8).
 pub const MAX_PREFETCH_DEGREE: usize = 64;
 
+/// Largest accepted [`MemConfig::dmb_bytes`] (64 MiB). The line table is
+/// sized up front from the capacity, so an unbounded value is an unbounded
+/// allocation; the DSE space tops out at 1 MiB.
+pub const MAX_DMB_BYTES: usize = 64 << 20;
+
+/// Largest accepted [`MemConfig::mshr_count`]. The DMB sizes its MSHR queue
+/// and line table from it up front; presets and the DSE space use at most 64.
+pub const MAX_MSHRS: usize = 1024;
+
+/// Largest accepted [`MemConfig::lsq_entries`]. The LSQ is sized up front
+/// from it; presets and the DSE space use at most 256.
+pub const MAX_LSQ_ENTRIES: usize = 4096;
+
 impl Default for MemConfig {
     fn default() -> Self {
         MemConfig {
@@ -104,6 +117,9 @@ impl MemConfig {
     ///   is sized in whole lines — a ragged buffer would silently truncate);
     /// - `mshr_count == 0` (the DMB cannot admit a single miss);
     /// - `lsq_entries == 0` (no load could ever be queued);
+    /// - `dmb_bytes`, `mshr_count` or `lsq_entries` above [`MAX_DMB_BYTES`],
+    ///   [`MAX_MSHRS`] or [`MAX_LSQ_ENTRIES`] (each sizes an allocation made
+    ///   before the first cycle);
     /// - `prefetch_mshr_cap >= mshr_count` (the demand-priority contract
     ///   reserves at least one MSHR for demand misses; the DMB used to clamp
     ///   this silently, which configuration generators cannot observe);
@@ -124,15 +140,23 @@ impl MemConfig {
                 self.line_bytes, self.dmb_bytes
             )));
         }
-        if self.mshr_count == 0 {
-            return Err(SparseError::InvalidConfig(
-                "mshr_count must be at least 1".to_string(),
-            ));
+        if self.dmb_bytes > MAX_DMB_BYTES {
+            return Err(SparseError::InvalidConfig(format!(
+                "dmb_bytes must be at most {MAX_DMB_BYTES}, got {}",
+                self.dmb_bytes
+            )));
         }
-        if self.lsq_entries == 0 {
-            return Err(SparseError::InvalidConfig(
-                "lsq_entries must be at least 1".to_string(),
-            ));
+        if !(1..=MAX_MSHRS).contains(&self.mshr_count) {
+            return Err(SparseError::InvalidConfig(format!(
+                "mshr_count must be in 1..={MAX_MSHRS}, got {}",
+                self.mshr_count
+            )));
+        }
+        if !(1..=MAX_LSQ_ENTRIES).contains(&self.lsq_entries) {
+            return Err(SparseError::InvalidConfig(format!(
+                "lsq_entries must be in 1..={MAX_LSQ_ENTRIES}, got {}",
+                self.lsq_entries
+            )));
         }
         if self.prefetch_mshr_cap >= self.mshr_count {
             return Err(SparseError::InvalidConfig(format!(
@@ -234,6 +258,45 @@ mod tests {
             match c.validate() {
                 Err(SparseError::InvalidConfig(msg)) => assert!(msg.contains(want), "msg: {msg}"),
                 other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sizing_knobs_are_bounded_above() {
+        let at_max = MemConfig {
+            dmb_bytes: MAX_DMB_BYTES,
+            mshr_count: MAX_MSHRS,
+            lsq_entries: MAX_LSQ_ENTRIES,
+            ..MemConfig::default()
+        };
+        assert!(at_max.validate().is_ok());
+        for (past, want) in [
+            (
+                MemConfig {
+                    dmb_bytes: MAX_DMB_BYTES + 64,
+                    ..at_max
+                },
+                "dmb_bytes",
+            ),
+            (
+                MemConfig {
+                    mshr_count: MAX_MSHRS + 1,
+                    ..at_max
+                },
+                "mshr_count",
+            ),
+            (
+                MemConfig {
+                    lsq_entries: MAX_LSQ_ENTRIES + 1,
+                    ..at_max
+                },
+                "lsq_entries",
+            ),
+        ] {
+            match past.validate() {
+                Err(SparseError::InvalidConfig(msg)) => assert!(msg.contains(want), "msg: {msg}"),
+                other => panic!("expected InvalidConfig naming {want}, got {other:?}"),
             }
         }
     }

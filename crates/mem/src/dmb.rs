@@ -21,9 +21,11 @@
 //! open-addressed bucket array (linear probing, backward-shift deletion),
 //! and recency is tracked by intrusive doubly-linked LRU lists per eviction
 //! class threaded through the arena. Touch, insert, evict and lookup are all
-//! O(1); MSHRs are a fixed scan-array sized by `mshr_count`. The timing
-//! behaviour is identical to the original map-based implementation — the
-//! `timing_golden` integration tests pin it bit-for-bit.
+//! O(1). Outstanding fills sit in a queue ordered by completion cycle, and
+//! each pins its line through a `filling` bit in the line's slot, so reaping
+//! pops from the front and the victim walk reads one bit per line. The
+//! timing behaviour is identical to the original map-based implementation —
+//! the `timing_golden` integration tests pin it bit-for-bit.
 
 use crate::address::{LineAddr, MatrixKind};
 use crate::config::MemConfig;
@@ -31,6 +33,7 @@ use crate::dram::{AccessPattern, Dram};
 use crate::prefetch::{PrefetchDrop, PrefetchStats};
 use crate::stats::HitStats;
 use crate::trace::{AccessClass, TraceData, TraceEvent, TraceKind, TraceRing, Track};
+use std::collections::VecDeque;
 
 /// Niche marker for intrusive links and bucket entries.
 const NIL: u32 = u32::MAX;
@@ -45,6 +48,10 @@ struct LineSlot {
     prefetched: bool,
     /// Cycle at which the line's fill completes (0 for write-allocated).
     ready_at: u64,
+    /// An outstanding fill (an MSHR) targets this line, so it may not be
+    /// evicted. Set when the fill is issued or an orphaned fill is adopted,
+    /// cleared when the fill retires.
+    filling: bool,
     /// LRU timestamp; unique per touch. Orders victims across classes when
     /// class eviction is disabled.
     lru: u64,
@@ -210,15 +217,17 @@ impl LineTable {
         self.check_after_mutation();
     }
 
-    fn insert(&mut self, addr: LineAddr, dirty: bool, ready_at: u64, tick: u64) {
-        self.insert_full(addr, dirty, false, ready_at, tick, false);
+    /// Inserts a line at the newest end of its class; returns its arena
+    /// index, which stays valid until the line is removed.
+    fn insert(&mut self, addr: LineAddr, dirty: bool, ready_at: u64, tick: u64) -> u32 {
+        self.insert_full(addr, dirty, false, ready_at, tick, false)
     }
 
     /// Inserts a speculative line at the **LRU** end of its class with the
     /// `prefetched` marker set; the MRU probe hint is left on the demand
     /// stream's last line.
-    fn insert_prefetched(&mut self, addr: LineAddr, ready_at: u64, tick: u64) {
-        self.insert_full(addr, false, true, ready_at, tick, true);
+    fn insert_prefetched(&mut self, addr: LineAddr, ready_at: u64, tick: u64) -> u32 {
+        self.insert_full(addr, false, true, ready_at, tick, true)
     }
 
     fn insert_full(
@@ -229,7 +238,7 @@ impl LineTable {
         ready_at: u64,
         tick: u64,
         at_lru: bool,
-    ) {
+    ) -> u32 {
         if (self.len + 1) * 4 >= self.buckets.len() * 3 {
             self.grow();
         }
@@ -238,6 +247,7 @@ impl LineTable {
             dirty,
             prefetched,
             ready_at,
+            filling: false,
             lru: tick,
             prev: NIL,
             next: NIL,
@@ -268,6 +278,22 @@ impl LineTable {
             self.mru = idx;
         }
         self.check_after_mutation();
+        idx
+    }
+
+    /// Oldest line of `class` with no fill in flight, as `(lru, slot)`. The
+    /// walk from the LRU end passes at most the filling lines, so it is
+    /// bounded by the MSHR count, not the buffer size.
+    fn oldest_unpinned(&self, class: usize) -> Option<(u64, u32)> {
+        let mut idx = self.heads[class];
+        while idx != NIL {
+            let slot = &self.slots[idx as usize];
+            if !slot.filling {
+                return Some((slot.lru, idx));
+            }
+            idx = slot.next;
+        }
+        None
     }
 
     /// Removes `addr` and returns its state; backward-shift deletion keeps
@@ -427,21 +453,21 @@ impl LineTable {
     }
 }
 
-/// One outstanding fill. A fixed array of these replaces the old
-/// `HashMap<LineAddr, u64>`: `mshr_count` is small (32 by default), so a
-/// linear scan beats hashing and never allocates.
+/// One outstanding fill (an MSHR).
 #[derive(Debug, Clone, Copy)]
-struct MshrSlot {
+struct Mshr {
     addr: LineAddr,
     ready: u64,
-    valid: bool,
     /// Allocated by the prefetcher rather than a demand miss; counts
     /// against [`MemConfig::prefetch_mshr_cap`] until reaped.
     prefetch: bool,
-    /// `sig_bit(addr)`, computed once at insertion so signature rebuilds in
-    /// [`Dmb::reap_mshrs`] OR cached bits instead of re-hashing every
-    /// surviving address.
-    sig: u64,
+    /// The line was dropped by `flush_kind`/`invalidate_kind` while its fill
+    /// was in flight. An orphan pins nothing; it still holds its MSHR,
+    /// merges later reads of its address, and a write-allocate of that
+    /// address adopts it.
+    orphan: bool,
+    /// Arena index of the filling line; stale while `orphan`.
+    slot: u32,
 }
 
 /// Outcome of a [`Dmb::read`].
@@ -489,34 +515,17 @@ pub struct Dmb {
     class_eviction: bool,
     lines: LineTable,
     lru_tick: u64,
-    mshrs: Vec<MshrSlot>,
-    /// Number of valid MSHR slots, so the hot paths never scan the array to
-    /// count.
-    mshr_live: usize,
-    /// Valid MSHR slots holding prefetch fills (`<= prefetch_mshr_cap`).
+    /// Outstanding fills sorted by `ready`, ties in issue order: the front
+    /// is the next fill to complete.
+    mshrs: VecDeque<Mshr>,
+    /// Fills in `mshrs` holding prefetches (`<= prefetch_mshr_cap`).
     mshr_prefetch_live: usize,
     /// Cap on `mshr_prefetch_live`, clamped below the pool size so demand
     /// misses always find a slot eventually.
     prefetch_mshr_cap: usize,
-    /// Invalid MSHR slot indices, so allocation pops instead of scanning.
-    /// Which slot an outstanding fill occupies is unobservable (lookups are
-    /// by address), so the pop order is free.
-    mshr_free: Vec<u32>,
-    /// Bitmask of valid slots among the first 64 MSHRs (bit `i` set ⇔
-    /// `mshrs[i].valid`). [`Self::reap_mshrs`] iterates set bits instead of
-    /// walking the whole array; slots past the mask width (oversized pools)
-    /// fall back to the plain walk.
-    mshr_valid_mask: u64,
-    /// OR-signature of the live MSHR addresses (one hash-selected bit each).
-    /// A clear bit proves absence, so the miss-heavy paths skip the slot
-    /// scan for addresses with no outstanding fill; a set bit only means
-    /// "maybe" and falls through to the exact scan. Rebuilt by
-    /// [`Self::reap_mshrs`], the sole place fills are invalidated.
-    mshr_sig: u64,
-    /// Earliest `ready` cycle among valid MSHRs (`u64::MAX` when none):
-    /// [`Self::reap_mshrs`] is a single compare until a fill actually
-    /// completes.
-    mshr_min_ready: u64,
+    /// Orphaned fills in `mshrs`. Every other fill's line is resident, so
+    /// while this is zero a non-resident address has no fill in flight.
+    mshr_orphans: usize,
     read_port_free: u64,
     write_port_free: u64,
     /// Reused by `flush_kind`/`invalidate_kind` so drains don't allocate.
@@ -566,23 +575,10 @@ impl Dmb {
             // transiently exceed the nominal capacity by the MSHR count.
             lines: LineTable::with_capacity(capacity_lines + mshr_count),
             lru_tick: 0,
-            mshrs: vec![
-                MshrSlot {
-                    addr: LineAddr::new(MatrixKind::Weight, 0),
-                    ready: 0,
-                    valid: false,
-                    prefetch: false,
-                    sig: 0
-                };
-                mshr_count
-            ],
-            mshr_live: 0,
+            mshrs: VecDeque::with_capacity(mshr_count),
             mshr_prefetch_live: 0,
             prefetch_mshr_cap: config.prefetch_mshr_cap.min(mshr_count.saturating_sub(1)),
-            mshr_free: (0..mshr_count as u32).collect(),
-            mshr_valid_mask: 0,
-            mshr_sig: 0,
-            mshr_min_ready: u64::MAX,
+            mshr_orphans: 0,
             read_port_free: 0,
             write_port_free: 0,
             drain_scratch: Vec::new(),
@@ -622,67 +618,63 @@ impl Dmb {
         }
     }
 
-    /// Signature bit of one address (the filter's hash-selected position).
-    fn sig_bit(addr: LineAddr) -> u64 {
-        1u64 << (hash_addr(addr) >> 58)
-    }
-
-    /// Audit: the cached MSHR aggregates (live count, earliest completion,
-    /// membership signature) must agree with the slot array. The signature
-    /// may be a superset of the live bits (bits of reaped fills persist
-    /// until the next rebuild) — it must never miss a live address.
+    /// Audit: re-derives the MSHR queue's invariants from the line table.
+    /// The queue is in completion order and within the pool; each fill
+    /// that is not an orphan names a live slot holding its address with the
+    /// `filling` bit set, and no other slot has that bit; each orphan's
+    /// address is not resident; the orphan and prefetch counts match.
     #[cfg(any(test, feature = "audit"))]
     fn check_mshr_tracking(&self) {
-        let live = self.mshrs.iter().filter(|m| m.valid).count();
-        assert_eq!(live, self.mshr_live, "audit: mshr_live vs slot array");
-        assert_eq!(
-            live + self.mshr_free.len(),
-            self.mshrs.len(),
-            "audit: free list plus live slots vs MSHR array"
-        );
-        for &i in &self.mshr_free {
-            assert!(
-                !self.mshrs[i as usize].valid,
-                "audit: free list names a live MSHR slot"
-            );
-        }
-        for (i, m) in self.mshrs.iter().take(64).enumerate() {
-            assert_eq!(
-                self.mshr_valid_mask & (1u64 << i) != 0,
-                m.valid,
-                "audit: valid mask disagrees with slot {i}"
-            );
-        }
-        let min = self
-            .mshrs
-            .iter()
-            .filter(|m| m.valid)
-            .map(|m| m.ready)
-            .min()
-            .unwrap_or(u64::MAX);
         assert!(
-            self.mshr_min_ready <= min,
-            "audit: mshr_min_ready {} above true minimum {}",
-            self.mshr_min_ready,
-            min
+            self.mshrs.len() <= self.mshr_count,
+            "audit: {} fills in flight exceed the {} MSHRs",
+            self.mshrs.len(),
+            self.mshr_count
         );
-        for m in self.mshrs.iter().filter(|m| m.valid) {
-            assert_eq!(
-                m.sig,
-                Self::sig_bit(m.addr),
-                "audit: cached signature bit of {:?} is stale",
+        assert!(
+            self.mshrs
+                .iter()
+                .zip(self.mshrs.iter().skip(1))
+                .all(|(a, b)| a.ready <= b.ready),
+            "audit: MSHR queue is out of completion order"
+        );
+        let mut orphans = 0;
+        for m in &self.mshrs {
+            if m.orphan {
+                orphans += 1;
+                assert!(
+                    self.lines.find_bucket(m.addr).is_none(),
+                    "audit: orphaned fill {:?} is resident",
+                    m.addr
+                );
+                continue;
+            }
+            let slot = &self.lines.slots[m.slot as usize];
+            assert!(
+                self.lines.buckets[slot.bucket as usize] == m.slot,
+                "audit: fill {:?} names a freed slot",
                 m.addr
             );
+            assert_eq!(slot.addr, m.addr, "audit: fill names another line's slot");
             assert!(
-                self.mshr_sig & m.sig != 0,
-                "audit: live MSHR {:?} missing from signature",
+                slot.filling,
+                "audit: line {:?} is not pinned by its fill",
                 m.addr
             );
         }
-        let prefetch_live = self.mshrs.iter().filter(|m| m.valid && m.prefetch).count();
+        assert_eq!(orphans, self.mshr_orphans, "audit: orphan count vs queue");
+        let pinned = (self.lines.buckets.iter())
+            .filter(|&&r| r != NIL && self.lines.slots[r as usize].filling)
+            .count();
+        assert_eq!(
+            pinned,
+            self.mshrs.len() - orphans,
+            "audit: filling lines vs fills that are not orphans"
+        );
+        let prefetch_live = self.mshrs.iter().filter(|m| m.prefetch).count();
         assert_eq!(
             prefetch_live, self.mshr_prefetch_live,
-            "audit: mshr_prefetch_live vs slot array"
+            "audit: mshr_prefetch_live vs queue"
         );
         assert!(
             prefetch_live <= self.prefetch_mshr_cap,
@@ -697,62 +689,53 @@ impl Dmb {
         self.check_mshr_tracking();
     }
 
-    /// Whether `addr` can possibly be a live MSHR (clear bit = proven
-    /// absent; set bit = must scan).
-    fn mshr_may_contain(&self, addr: LineAddr) -> bool {
-        self.mshr_sig & Self::sig_bit(addr) != 0
-    }
-
+    /// Completion cycle of the fill in flight for a non-resident `addr`.
+    /// Every fill but an orphan has its line resident, so with no orphan the
+    /// answer is `None` without a scan.
     fn mshr_lookup(&self, addr: LineAddr) -> Option<u64> {
-        if self.mshr_live == 0 || !self.mshr_may_contain(addr) {
+        if self.mshr_orphans == 0 {
             return None;
         }
-        self.mshrs
-            .iter()
-            .find(|m| m.valid && m.addr == addr)
-            .map(|m| m.ready)
+        self.mshrs.iter().find(|m| m.addr == addr).map(|m| m.ready)
     }
 
-    fn mshr_insert(&mut self, addr: LineAddr, ready: u64, prefetch: bool) {
-        let sig = Self::sig_bit(addr);
-        self.mshr_live += 1;
-        if prefetch {
-            self.mshr_prefetch_live += 1;
-        }
-        self.mshr_sig |= sig;
-        self.mshr_min_ready = self.mshr_min_ready.min(ready);
+    /// Traces the allocation of a fill for `addr`, counting it in the
+    /// occupancy. Emitted before the evictions that make room for its line.
+    fn trace_mshr_allocate(&mut self, addr: LineAddr, ready: u64) {
         if self.trace.is_some() {
             self.trace_port_event(TraceKind::MshrAllocate {
                 addr,
-                occupancy: self.mshr_live as u32,
+                occupancy: self.mshrs.len() as u32 + 1,
                 ready,
             });
         }
-        let slot = MshrSlot {
+    }
+
+    /// Queues a fill into the line at arena index `slot` and pins that line.
+    fn mshr_insert(&mut self, addr: LineAddr, ready: u64, prefetch: bool, slot: u32) {
+        self.lines.slots[slot as usize].filling = true;
+        if prefetch {
+            self.mshr_prefetch_live += 1;
+        }
+        // Scan from the back past later completions. On one DRAM channel
+        // each read completes strictly after the previous one, so the scan
+        // stops at once.
+        let mut at = self.mshrs.len();
+        while at > 0 && self.mshrs[at - 1].ready > ready {
+            at -= 1;
+        }
+        let fill = Mshr {
             addr,
             ready,
-            valid: true,
             prefetch,
-            sig,
+            orphan: false,
+            slot,
         };
-        let i = match self.mshr_free.pop() {
-            Some(i) => {
-                self.mshrs[i as usize] = slot;
-                i as usize
-            }
-            // Unreachable: the stall path always frees a slot first. Grow
-            // rather than corrupt state if that invariant ever breaks.
-            None => {
-                self.mshrs.push(slot);
-                self.mshrs.len() - 1
-            }
-        };
-        if i < 64 {
-            self.mshr_valid_mask |= 1u64 << i;
-        }
+        self.mshrs.insert(at, fill);
         self.check_mshr_after_mutation();
     }
 
+    /// Inserts a line after making room; returns its arena index.
     fn insert_line(
         &mut self,
         addr: LineAddr,
@@ -760,148 +743,55 @@ impl Dmb {
         ready_at: u64,
         now: u64,
         dram: &mut Dram,
-    ) {
-        while self.lines.len >= self.capacity_lines {
-            if !self.evict_one(now, dram) {
-                break; // everything in flight; oversubscribe rather than deadlock
-            }
-        }
+    ) -> u32 {
+        // With every line in flight this leaves the buffer full: oversubscribe
+        // rather than deadlock.
+        self.make_room_up_to_class(now, 2, dram);
         self.lru_tick += 1;
         let tick = self.lru_tick;
-        self.lines.insert(addr, dirty, ready_at, tick);
         self.line_fills += 1;
+        self.lines.insert(addr, dirty, ready_at, tick)
     }
 
-    /// Evicts one line following class priority then LRU (or plain global
-    /// LRU when class eviction is disabled); returns false if no evictable
-    /// line exists (all in-flight).
-    fn evict_one(&mut self, now: u64, dram: &mut Dram) -> bool {
-        // Oldest line in `class` that is not an outstanding fill. Walks from
-        // the LRU end; the walk is bounded by the number of in-flight lines
-        // (at most `mshr_count`), keeping eviction O(1) in buffer size. With
-        // no fill outstanding (the common case for write-allocate streams)
-        // the class head is the victim with no MSHR scan at all.
-        let no_inflight = self.mshr_live == 0;
-        let sig = self.mshr_sig;
-        let victim_of = |lines: &LineTable, mshrs: &[MshrSlot], class: usize| {
-            let mut idx = lines.heads[class];
-            while idx != NIL {
-                let slot = &lines.slots[idx as usize];
-                // The signature filter proves most candidates unpinned
-                // without touching the MSHR array.
-                if no_inflight
-                    || sig & Self::sig_bit(slot.addr) == 0
-                    || !mshrs.iter().any(|m| m.valid && m.addr == slot.addr)
-                {
-                    return Some((slot.lru, idx));
-                }
-                idx = slot.next;
-            }
-            None
-        };
-        let victim = if self.class_eviction {
-            (0..3).find_map(|c| victim_of(&self.lines, &self.mshrs, c))
-        } else {
-            // Plain LRU: oldest tick across all classes.
-            (0..3)
-                .filter_map(|c| victim_of(&self.lines, &self.mshrs, c))
-                .min_by_key(|&(tick, _)| tick)
-        };
-        if let Some((_, idx)) = victim {
-            let line = self.lines.remove_slot(idx);
-            self.evictions += 1;
-            if line.prefetched {
-                self.prefetch_stats.evicted_unused += 1;
-            }
-            if line.dirty {
-                self.dirty_evictions += 1;
-                // Evicted victims scatter: charged as random traffic.
-                dram.write(now, line.addr.kind, self.line_bytes, AccessPattern::Random);
-            }
-            if self.trace.is_some() {
-                self.trace_port_event(TraceKind::DmbEvict {
-                    addr: line.addr,
-                    dirty: line.dirty,
-                });
-            }
-            return true;
-        }
-        false
-    }
-
+    /// Retires every fill that has completed by `now`, in completion order,
+    /// unpinning each one's line.
     fn reap_mshrs(&mut self, now: u64) {
-        // No valid slot has `ready <= now`: the scan would be a no-op.
-        if now < self.mshr_min_ready {
+        // Nothing has completed: skip the audit epilogue too.
+        if self.mshrs.front().is_none_or(|m| m.ready > now) {
             return;
         }
-        let mut min = u64::MAX;
-        let mut sig = 0u64;
-        // Iterating set bits ascending reproduces the plain array walk's
-        // retirement order exactly (free-list pushes, trace events) while
-        // touching only live slots.
-        let mut pending = self.mshr_valid_mask;
-        while pending != 0 {
-            let i = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            let m = &self.mshrs[i];
-            if m.ready <= now {
-                self.mshr_valid_mask &= !(1u64 << i);
-                self.retire_mshr_slot(i, now);
+        while let Some(m) = self.mshrs.pop_front_if(|m| m.ready <= now) {
+            if m.orphan {
+                self.mshr_orphans -= 1;
             } else {
-                min = min.min(m.ready);
-                sig |= m.sig;
+                self.lines.slots[m.slot as usize].filling = false;
             }
-        }
-        // Oversized pools (beyond the mask width) keep the plain walk.
-        for i in 64..self.mshrs.len() {
-            let m = &self.mshrs[i];
-            if m.valid {
-                if m.ready <= now {
-                    self.retire_mshr_slot(i, now);
-                } else {
-                    min = min.min(m.ready);
-                    sig |= m.sig;
-                }
+            if m.prefetch {
+                self.mshr_prefetch_live -= 1;
             }
-        }
-        self.mshr_min_ready = min;
-        self.mshr_sig = sig;
-        self.check_mshr_after_mutation();
-    }
-
-    /// Retires one completed fill: slot bookkeeping, free-list return, and
-    /// trace emission. Callers clear the valid-mask bit themselves.
-    fn retire_mshr_slot(&mut self, i: usize, now: u64) {
-        let m = &mut self.mshrs[i];
-        m.valid = false;
-        let addr = m.addr;
-        let was_prefetch = m.prefetch;
-        self.mshr_live -= 1;
-        if was_prefetch {
-            self.mshr_prefetch_live -= 1;
-        }
-        self.mshr_free.push(i as u32);
-        if let Some(t) = self.trace.as_deref_mut() {
-            // Completion-ordered stream: both ports reap on their own
-            // clocks, so this track is not monotone.
-            t.push(TraceEvent {
-                track: Track::MshrRetire,
-                kind: TraceKind::MshrRetire {
-                    addr,
-                    occupancy: self.mshr_live as u32,
-                },
-                ts: now,
-                dur: 0,
-            });
-            if was_prefetch {
+            if let Some(t) = self.trace.as_deref_mut() {
+                // Completion-ordered stream: both ports reap on their own
+                // clocks, so this track is not monotone.
                 t.push(TraceEvent {
-                    track: Track::Prefetch,
-                    kind: TraceKind::PrefetchFill { addr },
+                    track: Track::MshrRetire,
+                    kind: TraceKind::MshrRetire {
+                        addr: m.addr,
+                        occupancy: self.mshrs.len() as u32,
+                    },
                     ts: now,
                     dur: 0,
                 });
+                if m.prefetch {
+                    t.push(TraceEvent {
+                        track: Track::Prefetch,
+                        kind: TraceKind::PrefetchFill { addr: m.addr },
+                        ts: now,
+                        dur: 0,
+                    });
+                }
             }
         }
+        self.check_mshr_after_mutation();
     }
 
     /// First demand touch of a prefetched line: clears the marker, counts
@@ -941,33 +831,20 @@ impl Dmb {
         reason
     }
 
-    /// Evicts lines until the buffer has room, considering only classes
-    /// `0..=max_class` — a prefetch never displaces a line of a hotter
-    /// class than its own. Returns `false` (leaving any legal evictions it
-    /// already made in place) when no such victim exists.
+    /// Evicts lines until the buffer has room, following class priority
+    /// then LRU (or plain global LRU when class eviction is disabled) and
+    /// skipping lines with a fill in flight. Only classes `0..=max_class`
+    /// are considered — a prefetch never displaces a line of a hotter class
+    /// than its own. Returns `false` (leaving any legal evictions it already
+    /// made in place) when no such victim exists.
     fn make_room_up_to_class(&mut self, now: u64, max_class: usize, dram: &mut Dram) -> bool {
         while self.lines.len >= self.capacity_lines {
-            let no_inflight = self.mshr_live == 0;
-            let sig = self.mshr_sig;
-            let victim_of = |lines: &LineTable, mshrs: &[MshrSlot], class: usize| {
-                let mut idx = lines.heads[class];
-                while idx != NIL {
-                    let slot = &lines.slots[idx as usize];
-                    if no_inflight
-                        || sig & Self::sig_bit(slot.addr) == 0
-                        || !mshrs.iter().any(|m| m.valid && m.addr == slot.addr)
-                    {
-                        return Some((slot.lru, idx));
-                    }
-                    idx = slot.next;
-                }
-                None
-            };
             let victim = if self.class_eviction {
-                (0..=max_class).find_map(|c| victim_of(&self.lines, &self.mshrs, c))
+                (0..=max_class).find_map(|c| self.lines.oldest_unpinned(c))
             } else {
+                // Plain LRU: oldest tick across the classes.
                 (0..=max_class)
-                    .filter_map(|c| victim_of(&self.lines, &self.mshrs, c))
+                    .filter_map(|c| self.lines.oldest_unpinned(c))
                     .min_by_key(|&(tick, _)| tick)
             };
             let Some((_, idx)) = victim else {
@@ -980,6 +857,7 @@ impl Dmb {
             }
             if line.dirty {
                 self.dirty_evictions += 1;
+                // Evicted victims scatter: charged as random traffic.
                 dram.write(now, line.addr.kind, self.line_bytes, AccessPattern::Random);
             }
             if self.trace.is_some() {
@@ -1010,7 +888,8 @@ impl Dmb {
         if self.contains(addr) || self.mshr_lookup(addr).is_some() {
             return Some(self.drop_prefetch(now, addr, PrefetchDrop::Redundant));
         }
-        if self.mshr_live >= self.mshr_count || self.mshr_prefetch_live >= self.prefetch_mshr_cap {
+        if self.mshrs.len() >= self.mshr_count || self.mshr_prefetch_live >= self.prefetch_mshr_cap
+        {
             return Some(self.drop_prefetch(now, addr, PrefetchDrop::MshrCap));
         }
         // One access latency of backlog is the horizon: if no channel frees
@@ -1028,11 +907,12 @@ impl Dmb {
             return Some(self.drop_prefetch(now, addr, PrefetchDrop::NoVictim));
         }
         let ready = dram.read(now, addr.kind, self.line_bytes, pattern);
-        self.mshr_insert(addr, ready, true);
+        self.trace_mshr_allocate(addr, ready);
         self.lru_tick += 1;
         let tick = self.lru_tick;
-        self.lines.insert_prefetched(addr, ready, tick);
+        let slot = self.lines.insert_prefetched(addr, ready, tick);
         self.line_fills += 1;
+        self.mshr_insert(addr, ready, true, slot);
         self.prefetch_stats.issued += 1;
         if let Some(t) = self.trace.as_deref_mut() {
             t.push(TraceEvent {
@@ -1094,11 +974,11 @@ impl Dmb {
         }
         // Primary miss: allocate an MSHR, stalling if none is free.
         let mut issue = start;
-        if self.mshr_live >= self.mshr_count {
-            // All slots are valid, so the tracked minimum IS the earliest
-            // completion — no scan needed to find it.
+        if self.mshrs.len() >= self.mshr_count {
+            // The pool is full of fills completing after `start`; the front
+            // one frees first.
             self.mshr_stalls += 1;
-            issue = issue.max(self.mshr_min_ready);
+            issue = issue.max(self.mshrs[0].ready);
             self.mshr_stall_cycles += issue - start;
             if self.trace.is_some() {
                 self.trace_port_event(TraceKind::MshrStall {
@@ -1108,8 +988,9 @@ impl Dmb {
             self.reap_mshrs(issue);
         }
         let ready = dram.read(issue, addr.kind, self.line_bytes, pattern);
-        self.mshr_insert(addr, ready, false);
-        self.insert_line(addr, false, ready, issue, dram);
+        self.trace_mshr_allocate(addr, ready);
+        let slot = self.insert_line(addr, false, ready, issue, dram);
+        self.mshr_insert(addr, ready, false, slot);
         self.hits.read_misses += 1;
         self.miss_latency_cycles += ready - start;
         if self.trace.is_some() {
@@ -1164,7 +1045,10 @@ impl Dmb {
         }
         self.hits.write_misses += 1;
         if allocate {
-            self.insert_line(addr, true, start + self.hit_latency, start, dram);
+            let slot = self.insert_line(addr, true, start + self.hit_latency, start, dram);
+            if self.mshr_orphans > 0 {
+                self.adopt_orphan(addr, slot);
+            }
             if self.trace.is_some() {
                 self.trace_port_event(TraceKind::DmbAccess {
                     addr,
@@ -1223,12 +1107,7 @@ impl Dmb {
         sorted.sort_unstable_by_key(|a| a.index);
         let mut done = now;
         for &addr in &sorted {
-            let line = self.lines.remove(addr).expect("listed line is resident");
-            self.line_drops += 1;
-            if line.prefetched {
-                self.prefetch_stats.evicted_unused += 1;
-            }
-            if line.dirty {
+            if self.drop_line(addr) {
                 // Flushes walk line indices in order: streaming writeback.
                 done = done.max(dram.write(done, kind, self.line_bytes, AccessPattern::Sequential));
             }
@@ -1242,13 +1121,43 @@ impl Dmb {
         self.collect_kind(kind);
         let addrs = std::mem::take(&mut self.drain_scratch);
         for &addr in &addrs {
-            let line = self.lines.remove(addr).expect("listed line is resident");
-            self.line_drops += 1;
-            if line.prefetched {
-                self.prefetch_stats.evicted_unused += 1;
-            }
+            self.drop_line(addr);
         }
         self.drain_scratch = addrs;
+    }
+
+    /// Removes a resident line without writeback; returns whether it was
+    /// dirty. A fill still in flight for it is left in its MSHR as an
+    /// orphan.
+    fn drop_line(&mut self, addr: LineAddr) -> bool {
+        let line = self.lines.remove(addr).expect("listed line is resident");
+        self.line_drops += 1;
+        if line.prefetched {
+            self.prefetch_stats.evicted_unused += 1;
+        }
+        if line.filling {
+            let fill = (self.mshrs.iter_mut())
+                .find(|m| !m.orphan && m.addr == addr)
+                .expect("a filling line has its fill in flight");
+            fill.orphan = true;
+            self.mshr_orphans += 1;
+            self.check_mshr_after_mutation();
+        }
+        line.dirty
+    }
+
+    /// Re-pins the write-allocated line at arena index `slot` under the
+    /// orphaned fill of its address, if there is one: the fill is in flight
+    /// for that address again, so the line may not be evicted until it
+    /// retires.
+    fn adopt_orphan(&mut self, addr: LineAddr, slot: u32) {
+        if let Some(fill) = self.mshrs.iter_mut().find(|m| m.addr == addr) {
+            fill.orphan = false;
+            fill.slot = slot;
+            self.mshr_orphans -= 1;
+            self.lines.slots[slot as usize].filling = true;
+            self.check_mshr_after_mutation();
+        }
     }
 
     /// Whether a line is currently resident.
@@ -1589,23 +1498,31 @@ mod tests {
 
     #[test]
     fn mshr_tracking_survives_mixed_traffic() {
-        // Drive misses, merges, stalls and reaps through a tiny MSHR file,
-        // re-checking the cached aggregates (live count, free list,
-        // earliest completion, signature filter) against the slot array at
-        // every step.
+        // Drive misses, merges, stalls, reaps, orphaning invalidations and
+        // adopting write-allocates through a tiny MSHR file on two DRAM
+        // channels, re-deriving the queue order, the pins and the orphan
+        // count from the line table at every step.
         let mut cfg = small_config(16);
         cfg.mshr_count = 2;
+        cfg.dram_channels = 2;
         let mut dram = Dram::new(&cfg);
         let mut dmb = Dmb::new(&cfg);
         let mut now = 0;
         for i in 0..64u64 {
-            let o = dmb.read(
-                now,
-                addr(MatrixKind::Combination, i % 24),
-                &mut dram,
-                AccessPattern::Random,
-            );
+            let a = addr(MatrixKind::Combination, i % 24);
+            let pattern = if i % 2 == 0 {
+                AccessPattern::Random
+            } else {
+                AccessPattern::Sequential
+            };
+            let o = dmb.read(now, a, &mut dram, pattern);
             dmb.check_mshr_tracking();
+            if i % 7 == 0 {
+                dmb.invalidate_kind(MatrixKind::Combination);
+                dmb.check_mshr_tracking();
+                dmb.write(now, a, &mut dram, true, AccessPattern::Random);
+                dmb.check_mshr_tracking();
+            }
             // Alternate between racing ahead of the fills and waiting them
             // out, so both the stall path and the reap path are exercised.
             now = if i % 3 == 0 { o.ready } else { now + 1 };

@@ -1,8 +1,8 @@
 //! Model-based differential tests: the production DMB (open-addressed line
-//! table, intrusive LRU lists, fixed MSHR scan-array) and LSQ (open-addressed
-//! forward index) are driven op-for-op against naive reference models built
-//! from `Vec`/`HashMap`, and every outcome, counter and membership query must
-//! agree. The reference models restate the documented timing rules in the
+//! table, intrusive LRU lists, MSHR queue in completion order pinning lines
+//! through a per-slot bit) and LSQ (open-addressed forward index) are driven
+//! op-for-op against naive reference models built from `Vec`/`HashMap`, and
+//! every outcome, counter and membership query must agree. The reference models restate the documented timing rules in the
 //! most obvious data structures possible, so any divergence is a bug in the
 //! optimised structures rather than a modelling choice.
 
@@ -240,14 +240,21 @@ impl RefDmb {
 /// op stream (reads, allocating and bypassing writes, flushes, invalidates)
 /// on tiny buffers with aggressive collision pressure, comparing every
 /// outcome and every counter after each op. Each side owns its own DRAM;
-/// the DRAM traffic tables must also stay identical.
+/// the DRAM traffic tables must also stay identical. Several DRAM channels
+/// make fills complete out of issue order, and some MSHR pools are larger
+/// than 64 entries.
 #[test]
 fn dmb_matches_reference_model() {
     for seq in 0..60u64 {
         let mut rng = Pcg64::seed_from_u64(0xD3B0 ^ seq);
         let cfg = MemConfig {
             dmb_bytes: (2 + (seq as usize % 7)) * 64,
-            mshr_count: 1 + (seq as usize % 4),
+            mshr_count: if seq % 5 == 4 {
+                65 + (seq as usize % 40)
+            } else {
+                1 + (seq as usize % 4)
+            },
+            dram_channels: 1 + (seq as usize / 3) % 3,
             class_eviction: seq % 3 != 0,
             ..MemConfig::default()
         };
@@ -350,6 +357,84 @@ fn dmb_matches_reference_model() {
             );
         }
     }
+}
+
+/// A fill whose line is invalidated in flight stays in its MSHR as an
+/// orphan: a re-read merges into it, a write-allocate of the address adopts
+/// it, and from then on the line is pinned until the fill completes, even
+/// when it is the oldest line of the only class in a full buffer.
+#[test]
+fn orphaned_fill_merges_and_pins_its_write_allocated_line() {
+    let cfg = MemConfig {
+        dmb_bytes: 4 * 64,
+        mshr_count: 4,
+        ..MemConfig::default()
+    };
+    let mut dmb = Dmb::new(&cfg);
+    let mut dram = Dram::new(&cfg);
+    let mut model = RefDmb::new(&cfg);
+    let mut model_dram = Dram::new(&cfg);
+    let kind = MatrixKind::Combination;
+    let a = LineAddr::new(kind, 0);
+
+    let miss = dmb.read(0, a, &mut dram, AccessPattern::Random);
+    assert_eq!(
+        (miss.ready, miss.hit),
+        model.read(0, a, &mut model_dram, AccessPattern::Random)
+    );
+    assert!(!miss.hit);
+    dmb.invalidate_kind(kind);
+    model.invalidate_kind(kind);
+    assert!(!dmb.contains(a));
+
+    let merged = dmb.read(1, a, &mut dram, AccessPattern::Random);
+    assert_eq!(
+        (merged.ready, merged.hit),
+        model.read(1, a, &mut model_dram, AccessPattern::Random)
+    );
+    assert_eq!((merged.ready, merged.hit), (miss.ready, false));
+    assert_eq!(dmb.mshr_merges(), 1, "the re-read merged into the orphan");
+
+    let alloc = dmb.write(2, a, &mut dram, true, AccessPattern::Random);
+    assert_eq!(
+        (alloc.ready, alloc.hit),
+        model.write(2, a, &mut model_dram, true, AccessPattern::Random)
+    );
+    assert!(dmb.contains(a));
+
+    // Fill the buffer with younger lines of the same class; `a` is the
+    // oldest line but stays pinned until its fill completes.
+    let mut now = 3;
+    for index in 1..12 {
+        let b = LineAddr::new(kind, index);
+        let got = dmb.write(now, b, &mut dram, true, AccessPattern::Random);
+        let want = model.write(now, b, &mut model_dram, true, AccessPattern::Random);
+        assert_eq!((got.ready, got.hit), want, "write {b:?} at {now}");
+        assert_eq!(dmb.evictions(), model.evictions, "evictions at {now}");
+        assert_eq!(dmb.contains(a), model.find(a).is_some(), "pin at {now}");
+        assert!(dmb.contains(a), "adopted line evicted at {now}");
+        now += 1;
+    }
+    assert!(
+        now < miss.ready,
+        "the buffer filled before the fill completed"
+    );
+    assert_eq!(dmb.occupancy(), 4);
+
+    // Once the fill has completed, `a` is the next victim of its class.
+    let late = LineAddr::new(kind, 12);
+    let got = dmb.write(miss.ready, late, &mut dram, true, AccessPattern::Random);
+    let want = model.write(
+        miss.ready,
+        late,
+        &mut model_dram,
+        true,
+        AccessPattern::Random,
+    );
+    assert_eq!((got.ready, got.hit), want);
+    assert!(!dmb.contains(a) && model.find(a).is_none());
+    assert_eq!(dmb.evictions(), model.evictions);
+    assert_eq!(dram.stats().total(), model_dram.stats().total());
 }
 
 // ---------------------------------------------------------------------------

@@ -46,6 +46,15 @@ options:
   -h, --help           print this text
 ";
 
+/// Largest accepted `--feature-len`: 7.8x the widest Table II graph (8 415).
+/// `sparse_features` sizes a column list by it and the first weight matrix
+/// holds `feature_len x hidden` values.
+const MAX_FEATURE_LEN: usize = 1 << 16;
+
+/// Largest accepted `--hidden`: 64x the paper's 16. With `MAX_FEATURE_LEN`
+/// the first weight matrix stays within 256 MiB.
+const MAX_HIDDEN: usize = 1024;
+
 struct Options {
     dataset: Dataset,
     edge_list: Option<String>,
@@ -122,8 +131,8 @@ fn parse_args() -> Options {
             }
             "--feature-len" => {
                 opt.feature_len = number("--feature-len");
-                if opt.feature_len == 0 {
-                    fail("--feature-len must be at least 1");
+                if !(1..=MAX_FEATURE_LEN).contains(&opt.feature_len) {
+                    fail(&format!("--feature-len must be in 1..={MAX_FEATURE_LEN}"));
                 }
             }
             "--feature-sparsity" => {
@@ -138,8 +147,8 @@ fn parse_args() -> Options {
             }
             "--hidden" => {
                 opt.hidden = number("--hidden");
-                if opt.hidden == 0 {
-                    fail("--hidden must be at least 1");
+                if !(1..=MAX_HIDDEN).contains(&opt.hidden) {
+                    fail(&format!("--hidden must be in 1..={MAX_HIDDEN}"));
                 }
             }
             "--dmb-kb" => {

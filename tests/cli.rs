@@ -61,6 +61,31 @@ fn out_of_range_workload_and_config_flags_name_the_flag() {
     }
 }
 
+/// Knobs that size an allocation are refused above their bound before
+/// anything is allocated or simulated: huge values exit 2 naming the flag.
+#[test]
+fn oversized_allocation_flags_name_the_flag() {
+    let past_dmb_kb = (hymm::mem::config::MAX_DMB_BYTES / 1024 + 1).to_string();
+    let past_mshrs = (hymm::mem::config::MAX_MSHRS + 1).to_string();
+    for (args, flag) in [
+        (&["--dmb-kb", "100000000"][..], "--dmb-kb"),
+        (&["--dmb-kb", &past_dmb_kb][..], "--dmb-kb"),
+        (&["--mshrs", "1000000000"][..], "--mshrs"),
+        (&["--mshrs", &past_mshrs][..], "--mshrs"),
+        (&["--feature-len", "2000000000"][..], "--feature-len"),
+        (&["--feature-len", "65537"][..], "--feature-len"),
+        (&["--hidden", "1000000000"][..], "--hidden"),
+        (&["--hidden", "1025"][..], "--hidden"),
+    ] {
+        let stderr = refused(args);
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(
+            error.starts_with("error: ") && error.contains(flag),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn a_graph_over_the_node_limit_names_the_file_and_the_limit() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
